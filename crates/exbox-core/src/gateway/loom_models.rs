@@ -11,7 +11,10 @@
 //! shutdown drain, and the pipeline's SPSC ring: lossless in-order
 //! transfer with atomic batch publication, fresh values out of reused
 //! slots across wraparound, and the close-after-publish protocol that
-//! lets a worker exit without stranding packets.
+//! lets a worker exit without stranding packets; and the pipeline
+//! lanes' parked handoff: start → finish → start with no lost or
+//! duplicated shard, teardown of parked lanes, a handle dropped
+//! mid-phase, and a panicking phase contained and reported.
 //!
 //! Bounds: every model runs under the explorer's default preemption
 //! bound of 2 (documented in `DESIGN.md` §9) unless it passes an
@@ -25,10 +28,12 @@ use std::sync::Arc;
 use exbox_loom::{explore, model, replay, thread, Config};
 
 use exbox_net::AppClass;
+use exbox_obs::Counter;
 
 use crate::matrix::{FlowKind, SnrLevel};
 
 use super::channel;
+use super::lane::Lane;
 use super::shard::SharedMatrix;
 use super::snapshot::SnapshotCell;
 use super::spsc;
@@ -423,5 +428,166 @@ fn shared_matrix_concurrent_add_remove() {
             total == 1 || total == 2,
             "occupancy drifted: {total} (lost add or underflow)"
         );
+    });
+}
+
+/// A stand-in shard for the lane models: counts how many copies were
+/// ever dropped, so a lost or duplicated shard is visible.
+struct Token {
+    id: u32,
+    drops: Arc<Counter>,
+}
+
+impl Drop for Token {
+    fn drop(&mut self) {
+        self.drops.inc();
+    }
+}
+
+/// A lane whose phase hands its token straight back, counting runs.
+fn echo_lane(runs: &Arc<Counter>, exits: &Arc<Counter>) -> Lane<Token, Token> {
+    let runs = Arc::clone(runs);
+    Lane::spawn(
+        "lane".into(),
+        Arc::new(Counter::new()),
+        Arc::clone(exits),
+        move |t: Token| {
+            runs.inc();
+            t
+        },
+    )
+}
+
+/// The lane handoff across two packet phases: every interleaving of
+/// the owner's hand/collect with the lane's wake-up, pick-up and
+/// return gives each shard back exactly once (the right one, never a
+/// stale or duplicated one), runs each phase exactly once, and ends
+/// with the parked lane stopped and joined.
+#[test]
+fn lane_start_finish_start_never_loses_or_duplicates_a_shard() {
+    model(|| {
+        let (runs, exits, drops) = (
+            Arc::new(Counter::new()),
+            Arc::new(Counter::new()),
+            Arc::new(Counter::new()),
+        );
+        let lane = echo_lane(&runs, &exits);
+        for id in [1u32, 2] {
+            lane.hand(Token {
+                id,
+                drops: Arc::clone(&drops),
+            });
+            let back = lane.collect().expect("echo phase cannot fail");
+            assert_eq!(back.id, id, "collected another phase's shard");
+            assert_eq!(runs.get(), u64::from(id), "phase ran twice or not at all");
+            drop(back);
+        }
+        assert_eq!(drops.get(), 2, "a shard was lost or duplicated");
+        drop(lane);
+        assert_eq!(exits.get(), 1, "lane thread not joined");
+    });
+}
+
+/// A gateway dropped while its lanes are parked — one after a phase,
+/// one never handed a job — stops and joins both: no deadlock between
+/// the stop request and a lane still on its way to the condvar.
+#[test]
+fn lane_parked_lanes_join_on_gateway_drop() {
+    model(|| {
+        let (runs, exits, drops) = (
+            Arc::new(Counter::new()),
+            Arc::new(Counter::new()),
+            Arc::new(Counter::new()),
+        );
+        let lanes = vec![echo_lane(&runs, &exits), echo_lane(&runs, &exits)];
+        lanes[0].hand(Token {
+            id: 7,
+            drops: Arc::clone(&drops),
+        });
+        assert_eq!(lanes[0].collect().expect("echo").id, 7);
+        drop(lanes);
+        assert_eq!(exits.get(), 2, "a parked lane outlived its gateway");
+        assert_eq!(drops.get(), 1);
+    });
+}
+
+/// A pipeline handle dropped mid-phase: the owner hangs up the lane's
+/// input (the ingress ring's close), then drops the lane, which must
+/// wait for the phase to end, take the lane down and join it — never
+/// hang, never abandon the thread. The phase drains what was sent
+/// before the hang-up; its output is discarded with the lane.
+#[test]
+fn lane_dropped_mid_phase_ends_the_phase_and_joins() {
+    model(|| {
+        let exits = Arc::new(Counter::new());
+        let seen = Arc::new(Counter::new());
+        let lane = {
+            let seen = Arc::clone(&seen);
+            Lane::spawn(
+                "lane".into(),
+                Arc::new(Counter::new()),
+                Arc::clone(&exits),
+                move |rx: channel::BoundedReceiver<u32>| {
+                    while rx.recv().is_ok() {
+                        seen.inc();
+                    }
+                },
+            )
+        };
+        let (tx, rx) = channel::bounded::<u32>(2);
+        lane.hand(rx);
+        tx.send(1).unwrap();
+        drop(tx);
+        drop(lane);
+        assert_eq!(exits.get(), 1, "lane thread not joined");
+        assert_eq!(
+            seen.get(),
+            1,
+            "the phase lost input sent before the hang-up"
+        );
+    });
+}
+
+/// A panicking phase is contained: `collect` reports the message, the
+/// failure counter is raised, the job's destructors ran during the
+/// unwind (the pipeline's gate retire and verdict-ring close ride on
+/// this), and the lane stays usable for the next phase. Reading
+/// `failure` mid-phase means polling it, a spin loop the explorer
+/// cannot bound; the real-thread lane-panic test covers that path.
+#[test]
+fn lane_panic_is_contained_and_reported() {
+    model(|| {
+        let (failures, exits, drops) = (
+            Arc::new(Counter::new()),
+            Arc::new(Counter::new()),
+            Arc::new(Counter::new()),
+        );
+        let lane = Lane::spawn(
+            "lane".into(),
+            Arc::clone(&failures),
+            Arc::clone(&exits),
+            |t: Token| {
+                if t.id == 0 {
+                    panic!("injected lane fault");
+                }
+                t
+            },
+        );
+        lane.hand(Token {
+            id: 0,
+            drops: Arc::clone(&drops),
+        });
+        let err = lane.collect().err().expect("the phase panicked");
+        assert!(err.contains("injected lane fault"), "{err}");
+        assert_eq!(failures.get(), 1);
+        assert_eq!(drops.get(), 1, "the unwind must drop the phase's job");
+        lane.hand(Token {
+            id: 1,
+            drops: Arc::clone(&drops),
+        });
+        assert_eq!(lane.collect().expect("healthy phase").id, 1);
+        assert!(lane.failure().is_none(), "a collected failure is cleared");
+        drop(lane);
+        assert_eq!(exits.get(), 1);
     });
 }

@@ -40,7 +40,9 @@
 //!   shards into a run-to-completion multi-core pipeline: per-shard
 //!   lock-free SPSC ingress rings fed by a flow-hashing dispatcher,
 //!   verdicts merged back into one globally-ordered stream that is
-//!   byte-identical to sequential driving (see [`pipeline`]).
+//!   byte-identical to sequential driving (see [`pipeline`]). The
+//!   worker threads (lanes) are spawned once per gateway and parked
+//!   between packet phases.
 //!
 //! Shard count comes from [`GatewayConfig::shards`] or the
 //! `EXBOX_SHARDS` environment knob ([`GatewayConfig::from_env`]). A
@@ -49,6 +51,7 @@
 //! `tests/gateway_concurrent.rs`).
 
 pub(crate) mod channel;
+mod lane;
 pub mod pipeline;
 pub mod shard;
 pub mod snapshot;
@@ -167,10 +170,13 @@ impl GatewayConfig {
 /// Three driving styles:
 ///
 /// - **Pipeline** (multi-core deployments): call
-///   [`start_pipeline`](Self::start_pipeline) to move every shard
-///   onto a dedicated worker behind a lock-free SPSC ingress ring and
-///   drive the returned [`PipelineHandle`] — ordered verdicts,
-///   built-in backpressure, byte-identical to sequential driving.
+///   [`start_pipeline`](Self::start_pipeline) to hand every shard to
+///   its lane — one worker thread per shard, spawned on the first
+///   start and parked between phases — behind a lock-free SPSC
+///   ingress ring, and drive the returned [`PipelineHandle`]: ordered
+///   verdicts, built-in backpressure, byte-identical to sequential
+///   driving. [`finish_pipeline`](Self::finish_pipeline) takes the
+///   shards back and parks the lanes again.
 /// - **Sequential** (tests, traces, single-core deployments): call
 ///   [`process_packet`](Self::process_packet) /
 ///   [`poll`](Self::poll) / [`flow_departed`](Self::flow_departed) on
@@ -198,6 +204,12 @@ pub struct ConcurrentGateway {
     recovering: Arc<AtomicBool>,
     obs_tx: channel::BoundedSender<TrainerMsg>,
     trainer: Option<TrainerHandle>,
+    /// Parked pipeline lanes, one per shard (shard order). Empty until
+    /// the first `start_pipeline`, and while a pipeline has them.
+    lanes: Vec<pipeline::PipeLane>,
+    /// Lane armed by [`inject_lane_panic`](Self::inject_lane_panic)
+    /// for the next packet phase.
+    inject_panic: Option<usize>,
     /// Per-batch shard-index scratch for the sequential batched driver
     /// (one `route` per packet, reused across calls).
     route_scratch: Vec<u32>,
@@ -205,12 +217,13 @@ pub struct ConcurrentGateway {
 
 impl Drop for ConcurrentGateway {
     fn drop(&mut self) {
-        // Join the trainer *first*: field drop order would tear down
-        // the shard/trainer registries, shared matrix and snapshot
-        // readers while a retrain could still be in flight, so a
-        // publish (and its metrics updates) could land mid-teardown
-        // and be lost without trace. Shutting down here guarantees the
-        // trainer drained its queue (counting leftovers in
+        // Stop the parked lanes, then join the trainer, before any
+        // field drops: field drop order would tear down the
+        // shard/trainer registries, shared matrix and snapshot readers
+        // while a retrain could still be in flight, so a publish (and
+        // its metrics updates) could land mid-teardown and be lost
+        // without trace. Shutting down here guarantees the trainer
+        // drained its queue (counting leftovers in
         // `trainer.dropped_results`) before anything else goes away.
         let _ = self.shutdown();
     }
@@ -365,6 +378,8 @@ impl ConcurrentGateway {
             recovering,
             obs_tx,
             trainer,
+            lanes: Vec::new(),
+            inject_panic: None,
             route_scratch: Vec::new(),
         }
     }
@@ -394,41 +409,64 @@ impl ConcurrentGateway {
         std::mem::take(&mut self.shards)
     }
 
-    /// Start the multi-core data plane ([`pipeline`]): every shard
-    /// moves onto a dedicated worker thread draining a bounded SPSC
+    /// Start the multi-core data plane ([`pipeline`]): every shard is
+    /// handed to its lane, a worker thread draining a bounded SPSC
     /// ingress ring, and the returned [`PipelineHandle`] becomes the
     /// dispatcher — [`ingest`](PipelineHandle::ingest) routes packets
     /// by flow hash, [`drain_verdicts`](PipelineHandle::drain_verdicts)
     /// returns the globally-ordered verdict stream (byte-identical to
-    /// sequential driving, DESIGN.md §10). The sequential drivers
-    /// panic while the pipeline runs; retire it with
-    /// [`finish_pipeline`](Self::finish_pipeline) to get them back.
+    /// sequential driving, DESIGN.md §10). The first start spawns one
+    /// lane per shard (`pipeline.lane_spawns`); later starts wake the
+    /// lanes parked by the previous
+    /// [`finish_pipeline`](Self::finish_pipeline). The sequential
+    /// drivers panic while the pipeline runs; retire it with
+    /// `finish_pipeline` to get them back.
     pub fn start_pipeline(&mut self) -> PipelineHandle {
         assert!(
             !self.shards.is_empty(),
             "gateway shards were taken; return them before starting a pipeline"
         );
         let shards = self.take_shards();
+        if self.lanes.is_empty() {
+            self.lanes =
+                pipeline::spawn_lanes(shards.len(), self.cfg.batch, &self.pipeline_registry);
+        }
         PipelineHandle::start(pipeline::PipelineSpec {
             shards,
+            lanes: std::mem::take(&mut self.lanes),
             batch: self.cfg.batch,
             registry: &self.pipeline_registry,
+            inject_panic: self.inject_panic.take(),
         })
     }
 
-    /// Drain and shut down a pipeline started by
+    /// Drain and retire a pipeline started by
     /// [`start_pipeline`](Self::start_pipeline): blocks until every
     /// in-flight packet's verdict is merged, closes the ingress rings,
-    /// joins the workers (always *before* the trainer — the gateway's
-    /// `Drop` only joins the trainer, so retiring the handle first is
-    /// what the drop order already enforces for callers who keep both
-    /// on one scope), puts the shards back for sequential driving, and
-    /// returns the tail of the ordered verdict stream.
+    /// takes every shard back from its lane and parks the lanes on the
+    /// gateway until the next start (they block, they do not spin).
+    /// The shards return for sequential driving, and the tail of the
+    /// ordered verdict stream is returned.
+    ///
+    /// # Panics
+    ///
+    /// If a lane panicked during the phase, with a message naming the
+    /// lane. That lane's shard state is lost and the gateway has no
+    /// shards left to drive; the lanes are stopped and joined.
     pub fn finish_pipeline(&mut self, handle: PipelineHandle) -> Vec<Action> {
-        let (mut shards, tail) = handle.finish();
-        shards.sort_by_key(GatewayShard::id);
+        let (shards, lanes, tail) = handle.finish();
         self.shards = shards;
+        self.lanes = lanes;
         tail
+    }
+
+    /// Fault hook for tests: the next packet phase's lane `lane`
+    /// panics as it starts, exercising the pipeline's panic
+    /// containment. Checked once per phase, never per packet, and
+    /// independent of `EXBOX_FAULTS`.
+    #[doc(hidden)]
+    pub fn inject_lane_panic(&mut self, lane: usize) {
+        self.inject_panic = Some(lane);
     }
 
     fn shard_mut(&mut self, idx: usize) -> &mut GatewayShard {
@@ -656,11 +694,17 @@ impl ConcurrentGateway {
         MetricsSnapshot::merged(&parts)
     }
 
-    /// Stop the background trainer and take back the classifier (for
+    /// Stop and join the parked pipeline lanes, then stop the
+    /// background trainer and take back the classifier (for
     /// inspection or a final synchronous checkpoint). `None` for a
     /// serving-only gateway. Shards keep serving the last published
-    /// snapshot after shutdown.
+    /// snapshot after shutdown; a later `start_pipeline` spawns fresh
+    /// lanes.
     pub fn shutdown(&mut self) -> Option<AdmittanceClassifier> {
+        // Parked lanes hold no shard, so nothing they own can still
+        // reach the trainer; lanes lent to a live handle are joined
+        // when that handle is finished or dropped.
+        self.lanes.clear();
         self.trainer.take().map(TrainerHandle::shutdown)
     }
 }

@@ -13,13 +13,14 @@
 //! ```
 //!
 //! [`ConcurrentGateway::start_pipeline`](super::ConcurrentGateway::start_pipeline)
-//! moves the shards onto dedicated worker threads; the caller drives
-//! the [`PipelineHandle`]: [`ingest`](PipelineHandle::ingest) assigns
-//! every packet a global **ingress sequence number**, routes it by
-//! flow hash (the same [`hash_flow_key`](crate::flowtable::hash_flow_key)
-//! routing as the sequential drivers) into its shard's bounded
-//! `spsc` ring, and publishes rings in batches. Each
-//! worker drains its ring run-to-completion through the shard's batch
+//! hands each shard to its lane — a worker thread the gateway spawned
+//! on its first pipeline and keeps parked between packet phases (see
+//! [Lanes](#lanes)); the caller drives the [`PipelineHandle`]:
+//! [`ingest`](PipelineHandle::ingest) assigns every packet a global
+//! **ingress sequence number**, routes it by flow hash (the same
+//! [`hash_flow_key`](crate::flowtable::hash_flow_key) routing as the
+//! sequential drivers) into its shard's bounded `spsc` ring, and
+//! publishes rings in batches. Each worker drains its ring run-to-completion through the shard's batch
 //! path and emits `(seq, action)` onto its verdict ring; the handle
 //! merges those per-shard streams through a pre-sized reorder ring
 //! back into one globally-ordered verdict stream.
@@ -65,6 +66,24 @@
 //! [`PipelineHandle::ingest`] spins — publishing, merging and yielding
 //! so workers keep draining — and counts each episode in
 //! `gateway.ring_full_stalls` / `pipeline.reorder_stalls`.
+//!
+//! # Lanes
+//!
+//! Each shard has one lane: a persistent worker thread (`lane.rs`),
+//! spawned lazily by the gateway's first `start_pipeline`
+//! (`pipeline.lane_spawns`) and joined only when the gateway shuts
+//! down. A packet phase hands every lane its shard, fresh ring ends
+//! and the phase's `OrderGate` through the lane's handoff slot;
+//! `finish` closes the rings, takes the shards back and returns the
+//! lanes to the gateway, where they block on a condition variable
+//! until the next start. Between phases no thread spins.
+//!
+//! A lane that panics mid-phase retires its gate cursor and closes its
+//! verdict ring during the unwind (so no other lane waits on it), bumps
+//! `pipeline.worker_failures` and records the panic message. Its
+//! shard is lost; [`PipelineHandle::flush`] and every blocking wait of
+//! the dispatcher then panic with a message naming the lane instead
+//! of spinning forever.
 
 use std::sync::Arc;
 
@@ -76,6 +95,7 @@ use crate::matrix::SnrLevel;
 use crate::middlebox::Action;
 use crate::sync::{thread, AtomicU64, Ordering};
 
+use super::lane::Lane;
 use super::shard::GatewayShard;
 use super::spsc;
 
@@ -217,26 +237,71 @@ struct PipelineMetrics {
     merge_out_grows: Arc<Counter>,
 }
 
+/// A pipeline lane: takes a [`Phase`], gives its shard back.
+pub(super) type PipeLane = Lane<Phase, GatewayShard>;
+
+/// Everything one lane needs for one packet phase.
+pub(super) struct Phase {
+    shard: GatewayShard,
+    rx: spsc::Consumer<IngressSlot>,
+    vtx: spsc::Producer<(u64, Action)>,
+    gate: Arc<OrderGate>,
+    /// Fault hook: panic as the phase starts (see
+    /// [`ConcurrentGateway::inject_lane_panic`](super::ConcurrentGateway::inject_lane_panic)).
+    inject_panic: bool,
+}
+
+/// Spawn one parked lane per shard, counted in `pipeline.lane_spawns`.
+pub(super) fn spawn_lanes(
+    count: usize,
+    batch: usize,
+    reg: &exbox_obs::MetricsRegistry,
+) -> Vec<PipeLane> {
+    let spawns = reg.counter("pipeline.lane_spawns");
+    (0..count)
+        .map(|lane| {
+            spawns.inc();
+            let batches = reg.counter("pipeline.worker_batches");
+            // Batch scratch lives as long as the lane, not the phase.
+            let mut buf: Vec<IngressSlot> = Vec::with_capacity(batch);
+            let mut verdicts: Vec<(u64, Action)> = Vec::with_capacity(batch);
+            Lane::spawn(
+                format!("exbox-pipe-{lane}"),
+                reg.counter("pipeline.worker_failures"),
+                reg.counter("pipeline.lane_exits"),
+                move |phase: Phase| {
+                    run_phase(phase, lane, batch, &mut buf, &mut verdicts, &batches)
+                },
+            )
+        })
+        .collect()
+}
+
 pub(super) struct PipelineSpec<'a> {
     pub shards: Vec<GatewayShard>,
+    /// Parked lanes, one per shard, in shard order.
+    pub lanes: Vec<PipeLane>,
     pub batch: usize,
     pub registry: &'a exbox_obs::MetricsRegistry,
+    /// Lane armed by the fault hook for this phase.
+    pub inject_panic: Option<usize>,
 }
 
 /// Caller-side handle of a running pipeline. Obtained from
 /// [`ConcurrentGateway::start_pipeline`](super::ConcurrentGateway::start_pipeline);
 /// retired by
 /// [`ConcurrentGateway::finish_pipeline`](super::ConcurrentGateway::finish_pipeline),
-/// which drains in-flight packets, joins the workers and hands the
-/// shards back (dropping the handle instead joins the workers but
-/// discards shard state).
+/// which drains in-flight packets, takes the shards back from the
+/// lanes and parks the lanes on the gateway for the next phase.
+/// Dropping the handle instead stops and joins its lanes and discards
+/// shard state.
 pub struct PipelineHandle {
-    lanes: usize,
     batch: u64,
     depth: u64,
     producers: Vec<spsc::Producer<IngressSlot>>,
     verdict_rx: Vec<spsc::Consumer<(u64, Action)>>,
-    workers: Vec<thread::JoinHandle<GatewayShard>>,
+    /// The gateway's lanes, on loan for this phase (shard order).
+    lanes: Vec<PipeLane>,
     gate: Arc<OrderGate>,
     /// Next sequence number to assign.
     next_seq: u64,
@@ -254,7 +319,7 @@ pub struct PipelineHandle {
 impl std::fmt::Debug for PipelineHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineHandle")
-            .field("lanes", &self.lanes)
+            .field("lanes", &self.lanes.len())
             .field("next_seq", &self.next_seq)
             .field("merged_seq", &self.reorder.base)
             .finish_non_exhaustive()
@@ -263,39 +328,40 @@ impl std::fmt::Debug for PipelineHandle {
 
 impl PipelineHandle {
     pub(super) fn start(spec: PipelineSpec<'_>) -> Self {
-        let lanes = spec.shards.len();
-        assert!(lanes > 0, "pipeline needs at least one shard");
+        let lane_count = spec.shards.len();
+        assert!(lane_count > 0, "pipeline needs at least one shard");
+        assert_eq!(spec.lanes.len(), lane_count, "one lane per shard");
         let batch = spec.batch.max(1);
         let ring_cap = (batch * 4).next_power_of_two();
-        let depth = (lanes * ring_cap).next_power_of_two();
+        let depth = (lane_count * ring_cap).next_power_of_two();
         let reg = spec.registry;
-        let gate = Arc::new(OrderGate::new(lanes, reg.counter("pipeline.gate_waits")));
-        let worker_batches = reg.counter("pipeline.worker_batches");
+        let gate = Arc::new(OrderGate::new(
+            lane_count,
+            reg.counter("pipeline.gate_waits"),
+        ));
 
-        let mut producers = Vec::with_capacity(lanes);
-        let mut verdict_rx = Vec::with_capacity(lanes);
-        let mut workers = Vec::with_capacity(lanes);
-        for (lane, shard) in spec.shards.into_iter().enumerate() {
+        let mut producers = Vec::with_capacity(lane_count);
+        let mut verdict_rx = Vec::with_capacity(lane_count);
+        for (i, (shard, lane)) in spec.shards.into_iter().zip(&spec.lanes).enumerate() {
             let (tx, rx) = spsc::ring::<IngressSlot>(ring_cap);
             let (vtx, vrx) = spsc::ring::<(u64, Action)>(depth);
-            let gate = Arc::clone(&gate);
-            let batches = Arc::clone(&worker_batches);
-            let handle = thread::Builder::new()
-                .name(format!("exbox-pipe-{lane}"))
-                .spawn(move || worker_loop(shard, lane, rx, vtx, gate, batch, batches))
-                .expect("spawn pipeline worker");
+            lane.hand(Phase {
+                shard,
+                rx,
+                vtx,
+                gate: Arc::clone(&gate),
+                inject_panic: spec.inject_panic == Some(i),
+            });
             producers.push(tx);
             verdict_rx.push(vrx);
-            workers.push(handle);
         }
 
         PipelineHandle {
-            lanes,
             batch: batch as u64,
             depth: depth as u64,
             producers,
             verdict_rx,
-            workers,
+            lanes: spec.lanes,
             gate,
             next_seq: 0,
             published_seq: 0,
@@ -315,7 +381,18 @@ impl PipelineHandle {
 
     /// Number of worker lanes (== shard count).
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.lanes.len()
+    }
+
+    /// Panic, naming the lane, if a lane's phase panicked: its
+    /// verdicts will never arrive, so a wait for them would spin
+    /// forever. Called only on paths that are already waiting.
+    fn check_lanes(&self) {
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(msg) = lane.failure() {
+                panic!("pipeline lane {i} panicked: {msg}");
+            }
+        }
     }
 
     /// Packets assigned a sequence number but not yet merged.
@@ -368,10 +445,11 @@ impl PipelineHandle {
                 }
                 self.sweep();
                 if self.merge_pending() == 0 {
+                    self.check_lanes();
                     thread::yield_now();
                 }
             }
-            let lane = super::route(&pkt.flow, self.lanes);
+            let lane = super::route(&pkt.flow, self.lanes.len());
             let mut item = (self.next_seq, pkt, snr);
             let mut stalled = false;
             loop {
@@ -388,6 +466,7 @@ impl PipelineHandle {
                         // then let it run.
                         self.sweep();
                         self.merge_pending();
+                        self.check_lanes();
                         thread::yield_now();
                     }
                 }
@@ -409,16 +488,18 @@ impl PipelineHandle {
         for (i, &(pkt, snr)) in pkts.iter().enumerate() {
             if self.in_flight() >= self.depth {
                 self.metrics.reorder_stalls.inc();
+                self.check_lanes();
                 self.sweep();
                 self.metrics.ingested.add(i as u64);
                 return i;
             }
-            let lane = super::route(&pkt.flow, self.lanes);
+            let lane = super::route(&pkt.flow, self.lanes.len());
             if self.producers[lane]
                 .push((self.next_seq, pkt, snr))
                 .is_err()
             {
                 self.metrics.ring_full_stalls.inc();
+                self.check_lanes();
                 self.sweep();
                 self.metrics.ingested.add(i as u64);
                 return i;
@@ -452,10 +533,16 @@ impl PipelineHandle {
     /// Block until every ingested packet's verdict has been merged,
     /// appending them all to `out` (ingress order). Returns the number
     /// appended.
+    ///
+    /// # Panics
+    ///
+    /// If a lane panicked during this phase (its verdicts are lost);
+    /// the message names the lane.
     pub fn flush(&mut self, out: &mut Vec<Action>) -> usize {
         self.sweep();
         while self.reorder.base < self.next_seq {
             if self.merge_pending() == 0 {
+                self.check_lanes();
                 thread::yield_now();
             }
         }
@@ -468,59 +555,88 @@ impl PipelineHandle {
         n
     }
 
-    /// Drain, close the rings, join the workers; returns the shards
-    /// (any order) and the tail of the verdict stream.
-    pub(super) fn finish(mut self) -> (Vec<GatewayShard>, Vec<Action>) {
+    /// Drain, close the rings and take the shards back (shard order);
+    /// returns them, the parked lanes and the tail of the verdict
+    /// stream. Panics, naming the lane, if a lane's phase panicked.
+    pub(super) fn finish(mut self) -> (Vec<GatewayShard>, Vec<PipeLane>, Vec<Action>) {
         let mut tail = Vec::new();
         self.flush(&mut tail);
         for p in self.producers.drain(..) {
             p.close();
         }
-        let shards = self
-            .workers
-            .drain(..)
-            .map(|w| w.join().expect("pipeline worker panicked"))
-            .collect();
-        (shards, tail)
+        let mut shards = Vec::with_capacity(self.lanes.len());
+        for (i, lane) in self.lanes.iter().enumerate() {
+            match lane.collect() {
+                Ok(shard) => shards.push(shard),
+                Err(msg) => panic!("pipeline lane {i} panicked: {msg}"),
+            }
+        }
+        (shards, std::mem::take(&mut self.lanes), tail)
     }
 }
 
+/// Dropping a handle that was never finished hangs up its ingress
+/// rings, so every lane's phase ends, then stops and joins its lanes:
+/// no thread outlives the pipeline, and shard state is discarded (use
+/// [`ConcurrentGateway::finish_pipeline`](super::ConcurrentGateway::finish_pipeline)
+/// to keep it).
 impl Drop for PipelineHandle {
     fn drop(&mut self) {
-        // `finish` already emptied both vectors; an abandoned handle
-        // still hangs up the rings and joins the workers so no thread
-        // outlives the pipeline (shard state is discarded — use
-        // `ConcurrentGateway::finish_pipeline` to keep it).
+        // After `finish` both vectors are already empty.
         for p in self.producers.drain(..) {
             p.close();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.lanes.clear();
     }
 }
 
-/// Per-shard worker: drain the ingress ring run-to-completion through
-/// the shard's gated batch path, publish verdicts per batch, and keep
-/// the lane's gate cursor honest while idle.
-fn worker_loop(
-    mut shard: GatewayShard,
-    lane: usize,
-    mut rx: spsc::Consumer<IngressSlot>,
-    mut vtx: spsc::Producer<(u64, Action)>,
+/// Retires the lane's gate cursor, then hangs up its verdict ring, on
+/// every exit from a phase — unwinding included, so a panicking lane
+/// never leaves another lane or the dispatcher waiting on it.
+struct PhaseExit {
     gate: Arc<OrderGate>,
+    lane: usize,
+    vtx: spsc::Producer<(u64, Action)>,
+}
+
+impl Drop for PhaseExit {
+    fn drop(&mut self) {
+        self.gate.retire(self.lane);
+        // `vtx` drops next: the producer publishes and closes.
+    }
+}
+
+/// One lane's packet phase: drain the ingress ring run-to-completion
+/// through the shard's gated batch path, publish verdicts per batch,
+/// keep the lane's gate cursor honest while idle, and hand the shard
+/// back once the ring closed and drained.
+fn run_phase(
+    phase: Phase,
+    lane: usize,
     batch: usize,
-    worker_batches: Arc<Counter>,
+    buf: &mut Vec<IngressSlot>,
+    verdicts: &mut Vec<(u64, Action)>,
+    worker_batches: &Counter,
 ) -> GatewayShard {
-    let mut buf: Vec<IngressSlot> = Vec::with_capacity(batch);
-    let mut verdicts: Vec<(u64, Action)> = Vec::with_capacity(batch);
+    let Phase {
+        mut shard,
+        mut rx,
+        vtx,
+        gate,
+        inject_panic,
+    } = phase;
+    let mut exit = PhaseExit { gate, lane, vtx };
+    if inject_panic {
+        panic!("injected fault at phase start");
+    }
+    let gate = &*exit.gate;
     loop {
         // Watermark *before* the emptiness check: invariant 2 — an
         // empty ring after this read proves every owned seq < w done.
         let w = gate.watermark();
         buf.clear();
-        if rx.drain_into(&mut buf, batch) == 0 {
-            if rx.is_closed() && rx.drain_into(&mut buf, batch) == 0 {
+        if rx.drain_into(buf, batch) == 0 {
+            if rx.is_closed() && rx.drain_into(buf, batch) == 0 {
                 // Close lands after the final publish, so a post-close
                 // empty drain means the ring is truly exhausted.
                 break;
@@ -534,22 +650,20 @@ fn worker_loop(
         }
         worker_batches.inc();
         verdicts.clear();
-        shard.process_packets_tagged(&buf, &gate, lane, &mut verdicts);
-        for &(seq, act) in &verdicts {
+        shard.process_packets_tagged(buf, gate, lane, verdicts);
+        for &(seq, act) in verdicts.iter() {
             let mut item = (seq, act);
             // By the depth invariant the verdict ring (capacity ==
             // in-flight bound) cannot be full; spin as a backstop so a
             // future sizing bug degrades instead of losing verdicts.
-            while let Err(back) = vtx.push(item) {
+            while let Err(back) = exit.vtx.push(item) {
                 debug_assert!(false, "verdict ring overflow: depth invariant broken");
                 item = back;
-                vtx.publish();
+                exit.vtx.publish();
                 thread::yield_now();
             }
         }
-        vtx.publish();
+        exit.vtx.publish();
     }
-    gate.retire(lane);
-    vtx.close();
     shard
 }

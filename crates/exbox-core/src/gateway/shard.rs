@@ -776,7 +776,9 @@ impl GatewayShard {
     /// observation shipped to the background trainer (non-blocking —
     /// a full queue drops the observation and counts
     /// `gateway.obs_dropped` rather than stalling), and region
-    /// re-evaluation against the pinned snapshot. A no-op before
+    /// re-evaluation against the snapshot pinned before that
+    /// observation was sent — a retrain it triggers never changes this
+    /// poll's revocations (DESIGN.md §10.6). A no-op before
     /// `poll_interval` has elapsed.
     ///
     /// Sharded-observation semantics: the label is the conjunction
@@ -847,6 +849,11 @@ impl GatewayShard {
             .fold((0u64, 0u64), |(m, u), ok| (m + 1, u + u64::from(!ok)));
         let measured_any = measured > 0;
         let all_ok = unacceptable == 0;
+        // Pin once, *before* the observation leaves: if it completes a
+        // retrain batch, the trainer's publish must not race the region
+        // re-evaluation below, which therefore always runs on the
+        // snapshot that was serving when the poll began (DESIGN.md §10.6).
+        let guard = self.reader.pin();
         let poll_errored = self.faults.should_inject(FaultKind::PollError);
         if poll_errored {
             self.metrics.poll_errors.inc();
@@ -869,7 +876,6 @@ impl GatewayShard {
         // shared matrix and the local working copy before re-deciding.
         // Revocations shed this shard's oldest admission first; kept
         // flows are tallied in bulk, never materialised.
-        let guard = self.reader.pin();
         if guard.phase() == Phase::Online {
             let mut matrix = self.shared.snapshot();
             let (mut label, mut margin) = guard.decide(&matrix);

@@ -4,11 +4,14 @@
 //! publish linearizability, bounded packet-path latency while the
 //! background trainer retrains, and the multi-core pipeline data
 //! plane: core-count-invariant verdict streams, pinned FxHash shard
-//! routing, counted backpressure stalls and allocation-free steady
-//! state (DESIGN.md §10).
+//! routing, counted backpressure stalls, allocation-free steady state,
+//! persistent lanes (spawned once, joined on teardown), contained lane
+//! panics, and polls that re-evaluate on the pre-poll snapshot
+//! (DESIGN.md §10).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration as WallDuration;
 
 use exbox::ml::Label;
 use exbox::net::{AppClass, Direction, FlowKey, Packet, Protocol};
@@ -817,6 +820,11 @@ fn steady_state_pipeline_and_poll_are_allocation_free() {
         grows_steady, grows_warm,
         "steady-state pipeline/poll cycles regrew a reused buffer"
     );
+    // Start/finish reuse the lanes: six cycles, still one thread per
+    // shard ever spawned, none exited.
+    assert_eq!(warm.counter("pipeline.lane_spawns"), Some(2));
+    assert_eq!(steady.counter("pipeline.lane_spawns"), Some(2));
+    assert_eq!(steady.counter("pipeline.lane_exits").unwrap_or(0), 0);
 }
 
 /// The trainer-side checkpoint path: written off the packet path,
@@ -870,4 +878,296 @@ fn checkpoint_through_trainer_roundtrips() {
         vec![Action::Forward, Action::Forward, Action::Drop, Action::Drop]
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Run `f` on its own thread and fail the test if it has not returned
+/// within `secs` seconds (a hang is the failure mode under test).
+fn within_timeout<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(WallDuration::from_secs(secs))
+        .expect("timed out: the pipeline hung");
+    worker.join().unwrap();
+    out
+}
+
+/// Lanes are spawned once per gateway and reused: over many
+/// start → ingest → drain → finish cycles at 1, 2 and 4 shards
+/// `pipeline.lane_spawns` equals the shard count, and every cycle's
+/// verdict stream is byte-identical to a sequential replay of the
+/// same cycle.
+#[test]
+fn pipeline_lanes_are_spawned_once_and_reused_across_cycles() {
+    let stream = interleaved_stream(40, 12);
+    let cycles = 8usize;
+    let mut reference =
+        ConcurrentGateway::serving_only(GatewayConfig::default(), estimator(), trained_snapshot());
+    let expect: Vec<Vec<Action>> = (0..cycles)
+        .map(|_| reference.process_packets(&stream))
+        .collect();
+
+    for shards in [1usize, 2, 4] {
+        let cfg = GatewayConfig {
+            shards,
+            ..GatewayConfig::default()
+        };
+        let mut gw = ConcurrentGateway::serving_only(cfg, estimator(), trained_snapshot());
+        assert_eq!(
+            gw.pipeline_registry()
+                .snapshot()
+                .counter("pipeline.lane_spawns"),
+            None,
+            "lanes must be spawned lazily, not during set-up"
+        );
+        for (cycle, want) in expect.iter().enumerate() {
+            let mut pipe = gw.start_pipeline();
+            let mut got = Vec::with_capacity(stream.len());
+            for chunk in stream.chunks(48) {
+                pipe.ingest(chunk);
+                pipe.drain_verdicts(&mut got);
+            }
+            got.extend(gw.finish_pipeline(pipe));
+            assert_eq!(
+                &got, want,
+                "{shards}-lane pipeline diverged from sequential at cycle {cycle}"
+            );
+        }
+        assert_eq!(gw.matrix(), reference.matrix());
+        let m = gw.pipeline_registry().snapshot();
+        assert_eq!(
+            m.counter("pipeline.lane_spawns"),
+            Some(shards as u64),
+            "a start/finish cycle spawned a thread"
+        );
+        assert_eq!(m.counter("pipeline.lane_exits").unwrap_or(0), 0);
+        assert_eq!(m.counter("pipeline.worker_failures").unwrap_or(0), 0);
+    }
+}
+
+/// Teardown never hangs and never leaks a lane: dropping a handle
+/// mid-phase (packets still in flight) stops and joins its lanes, and
+/// dropping a gateway whose lanes are parked joins those.
+#[test]
+fn pipeline_lanes_join_on_unfinished_handle_and_gateway_drop() {
+    within_timeout(60, || {
+        let stream = interleaved_stream(40, 12);
+        let cfg = GatewayConfig {
+            shards: 2,
+            ..GatewayConfig::default()
+        };
+
+        // Unfinished handle, then the gateway.
+        let mut gw = ConcurrentGateway::serving_only(cfg.clone(), estimator(), trained_snapshot());
+        let spawns = gw.pipeline_registry().counter("pipeline.lane_spawns");
+        let exits = gw.pipeline_registry().counter("pipeline.lane_exits");
+        let pipe = gw.start_pipeline();
+        gw.finish_pipeline(pipe);
+        let mut pipe = gw.start_pipeline();
+        pipe.ingest(&stream);
+        drop(pipe);
+        assert_eq!(spawns.get(), 2);
+        assert_eq!(exits.get(), 2, "a dropped handle must join its lanes");
+        drop(gw);
+        assert_eq!(exits.get(), spawns.get());
+
+        // Parked lanes, gateway dropped (and a trainer to shut down).
+        let reg = MetricsRegistry::new();
+        let mut gw = ConcurrentGateway::with_fault_plan(
+            cfg,
+            estimator(),
+            trained_classifier(&reg),
+            FaultPlan::disabled(),
+        );
+        let spawns = gw.pipeline_registry().counter("pipeline.lane_spawns");
+        let exits = gw.pipeline_registry().counter("pipeline.lane_exits");
+        for _ in 0..3 {
+            let mut pipe = gw.start_pipeline();
+            pipe.ingest(&stream);
+            gw.finish_pipeline(pipe);
+        }
+        assert_eq!((spawns.get(), exits.get()), (2, 0));
+        drop(gw);
+        assert_eq!(exits.get(), 2, "gateway drop must join its parked lanes");
+    });
+}
+
+/// Drive one phase with lane `lane` armed to panic; returns the panic
+/// message and the gateway's `pipeline.worker_failures`.
+fn drive_with_lane_panic(batch: usize, lane: usize) -> (String, u64) {
+    within_timeout(60, move || {
+        let stream = interleaved_stream(24, 12);
+        let cfg = GatewayConfig {
+            shards: 2,
+            batch,
+            ..GatewayConfig::default()
+        };
+        let mut gw = ConcurrentGateway::serving_only(cfg, estimator(), trained_snapshot());
+        let failures = gw.pipeline_registry().counter("pipeline.worker_failures");
+        let exits = gw.pipeline_registry().counter("pipeline.lane_exits");
+        // A healthy phase first, so the faulty one runs on reused lanes.
+        let pipe = gw.start_pipeline();
+        gw.finish_pipeline(pipe);
+        gw.inject_lane_panic(lane);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut pipe = gw.start_pipeline();
+            let mut verdicts = Vec::new();
+            for chunk in stream.chunks(32) {
+                pipe.ingest(chunk);
+                pipe.drain_verdicts(&mut verdicts);
+            }
+            gw.finish_pipeline(pipe)
+        }));
+        let payload = outcome.expect_err("a lane panic must surface to the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap().to_string());
+        assert_eq!(exits.get(), 2, "the failed phase's lanes must be joined");
+        drop(gw);
+        (msg, failures.get())
+    })
+}
+
+/// A panicking lane is contained: it retires its gate cursor (the
+/// other lane's decisions do not wait on it forever), the dispatcher
+/// panics with a message naming the lane instead of spinning, the
+/// failure is counted, and teardown joins everything — both when the
+/// loss surfaces in `finish_pipeline`'s flush (roomy rings) and when it
+/// surfaces in a stalled `ingest` (4-slot rings).
+#[test]
+fn pipeline_lane_panic_is_contained_and_named() {
+    for (batch, lane) in [(64usize, 1usize), (1, 0)] {
+        let (msg, failures) = drive_with_lane_panic(batch, lane);
+        assert!(
+            msg.contains(&format!("pipeline lane {lane} panicked")),
+            "panic message must name the lane: {msg:?}"
+        );
+        assert!(msg.contains("injected fault"), "{msg:?}");
+        assert_eq!(failures, 1, "pipeline.worker_failures must count the panic");
+    }
+}
+
+/// A classifier like [`trained_classifier`] that retrains on every
+/// observation (`batch_size: 1`).
+fn retrain_every_observation(reg: &MetricsRegistry) -> AdmittanceClassifier {
+    let cfg = AdmittanceConfig {
+        batch_size: 1,
+        ..AdmittanceConfig::default()
+    };
+    let mut ac = AdmittanceClassifier::with_registry(cfg, reg);
+    for n in 0..80u32 {
+        let total = n % 8;
+        let mut mat = TrafficMatrix::empty();
+        for _ in 0..total {
+            mat.add(FlowKind::new(AppClass::Streaming, SnrLevel::High));
+        }
+        let y = if total <= 3 { Label::Pos } else { Label::Neg };
+        ac.observe(mat, y);
+    }
+    assert_eq!(ac.phase(), Phase::Online, "fixture must go online");
+    ac
+}
+
+/// Revocations the region re-evaluation makes on `snap`: oldest
+/// admission first while the snapshot rejects the matrix.
+fn revocations_on(snap: &ModelSnapshot, matrix: TrafficMatrix, admitted: &[u32]) -> Vec<u32> {
+    let mut matrix = matrix;
+    let mut out = Vec::new();
+    if snap.phase() != Phase::Online {
+        return out;
+    }
+    for &id in admitted {
+        if snap.decide(&matrix).0 == Label::Pos {
+            break;
+        }
+        matrix.remove(FlowKind::new(AppClass::Streaming, SnrLevel::High));
+        out.push(id);
+    }
+    out
+}
+
+/// A poll pins its snapshot *before* its observation leaves for the
+/// trainer. Here every poll's observation completes a retrain batch,
+/// so a publish lands right behind every poll, and on odd rounds the
+/// reported QoS is bad: that observation labels the current matrix
+/// inadmissible, so the retrain flips the model exactly where the
+/// poll re-evaluates. The poll's revocations must still equal those
+/// computed on the snapshot serving when the poll began, in every
+/// round of every run; the flip shows up as revocations at the *next*
+/// poll.
+#[test]
+fn poll_revocations_follow_the_pre_poll_snapshot() {
+    for run in 0..24u32 {
+        let reg = MetricsRegistry::new();
+        let mut gw = ConcurrentGateway::with_fault_plan(
+            GatewayConfig::default(),
+            estimator(),
+            retrain_every_observation(&reg),
+            FaultPlan::disabled(),
+        );
+        let mut reader = gw.snapshot_reader();
+        let mut admitted: Vec<u32> = Vec::new();
+        let mut next_id = 1 + run * 1000;
+        let mut t_ms = 0u64;
+        let mut revoked_total = 0usize;
+        for round in 0..16u64 {
+            // New arrivals, admitted under the serving snapshot.
+            for _ in 0..2 {
+                let id = next_id;
+                next_id += 1;
+                let last = streaming_pkts(flow_key(id), 12)
+                    .iter()
+                    .map(|p| gw.process_packet(p, SnrLevel::High))
+                    .last()
+                    .unwrap();
+                if last == Action::Forward {
+                    admitted.push(id);
+                }
+            }
+            t_ms += 3_000;
+            // Good QoS: 1400 B in 5 ms. Bad QoS: 1 B in 900 ms.
+            let (delay_ms, size) = if round % 2 == 1 { (900, 1) } else { (5, 1400) };
+            for &id in &admitted {
+                gw.record_delivery(
+                    &flow_key(id),
+                    Instant::from_millis(t_ms - 1_000),
+                    Instant::from_millis(t_ms - 1_000 + delay_ms),
+                    size,
+                );
+            }
+            let pre_poll = (*reader.pin()).clone();
+            let expected = revocations_on(&pre_poll, gw.matrix(), &admitted);
+            let publishes = gw.publish_count();
+            let verdicts = gw.poll(Instant::from_millis(t_ms));
+            assert!(gw.flush_trainer());
+            if !admitted.is_empty() {
+                assert_eq!(
+                    gw.publish_count(),
+                    publishes + 1,
+                    "run {run} round {round}: the poll's observation must complete a retrain"
+                );
+            }
+            let revoked: Vec<u32> = verdicts
+                .iter()
+                .filter(|(_, v)| *v == PollVerdict::Revoke)
+                .map(|(k, _)| {
+                    admitted
+                        .iter()
+                        .copied()
+                        .find(|&id| flow_key(id) == *k)
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(
+                revoked, expected,
+                "run {run} round {round}: poll did not re-evaluate on the pre-poll snapshot"
+            );
+            admitted.retain(|id| !revoked.contains(id));
+            revoked_total += revoked.len();
+        }
+        assert!(revoked_total > 0, "the scenario must exercise revocations");
+    }
 }
