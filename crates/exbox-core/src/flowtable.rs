@@ -43,31 +43,9 @@ use exbox_net::FlowKey;
 /// Absent link / bucket marker for the intrusive lists and the index.
 const NIL: u32 = u32::MAX;
 
-/// FxHash-style hash of a [`FlowKey`]: the 13 significant bytes are
-/// packed into two words and folded with the rotate-xor-multiply step
-/// rustc's own hash tables use, plus a final avalanche so the low
-/// bits (which pick the bucket) depend on every field. Not keyed —
-/// flow keys on a gateway are operator-side data, not attacker-chosen
-/// strings — and an order of magnitude cheaper than SipHash on this
-/// fixed layout.
-#[inline]
-pub fn hash_flow_key(key: &FlowKey) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let a = (u32::from(key.client_ip) as u64) << 32 | u32::from(key.server_ip) as u64;
-    let b = (key.client_port as u64) << 24
-        | (key.server_port as u64) << 8
-        | key.protocol.ip_proto() as u64;
-    let mut h = 0u64;
-    h = (h.rotate_left(5) ^ a).wrapping_mul(K);
-    h = (h.rotate_left(5) ^ b).wrapping_mul(K);
-    // Final avalanche (splitmix64 tail): FxHash concentrates entropy
-    // in the high bits, the open-addressed index masks the low ones.
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
+/// The FxHash of a [`FlowKey`], shared with the early classifier's
+/// per-flow map and pinned by the shard-routing contract.
+pub use exbox_net::hash_flow_key;
 
 /// Stable handle to an occupied [`FlowMap`] slot: an arena index plus
 /// a generation stamp. The index is reused after removal but the

@@ -123,9 +123,9 @@ pub struct GatewayConfig {
     /// Capacity of each shard's epoch-keyed decision cache; 0 disables
     /// caching.
     pub decision_cache_size: usize,
-    /// Ingress batch size (≥ 1): capacity of each shard's ingress ring
-    /// and the chunk size used by the batched packet path
-    /// ([`GatewayShard::process_packets`]).
+    /// Ingress batch size (≥ 1) of the pipeline: packets per ring
+    /// publication by the dispatcher and per worker batch through
+    /// [`GatewayShard::process_packets`]'s gated twin.
     pub batch: usize,
 }
 
@@ -360,7 +360,6 @@ impl ConcurrentGateway {
                 Arc::clone(&recovering),
                 plan,
                 cfg.decision_cache_size,
-                cfg.batch,
                 &reg,
             ));
             shard_registries.push(reg);

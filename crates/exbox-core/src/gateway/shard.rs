@@ -17,7 +17,7 @@ use crate::sync::{AtomicBool, AtomicU32, Ordering};
 use super::channel::BoundedSender;
 
 use exbox_ml::Label;
-use exbox_net::{AppClass, EarlyClassifier, FlowKey, FlowTable, Instant, Packet, QosMeter};
+use exbox_net::{AppClass, EarlyClassifier, FlowKey, Instant, Packet, QosMeter};
 use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
 
 use crate::admittance::Phase;
@@ -242,7 +242,6 @@ struct ShardFlow {
 pub struct GatewayShard {
     id: usize,
     cfg: MiddleboxConfig,
-    table: FlowTable,
     early: EarlyClassifier,
     flows: FlowMap<ShardFlow>,
     rejected: RejectedRing,
@@ -262,11 +261,6 @@ pub struct GatewayShard {
     decisions: EventRing<DecisionEvent>,
     faults: FaultPlan,
     last_poll: Instant,
-    /// Deferred packets awaiting a batched flush (see
-    /// [`GatewayShard::enqueue`]).
-    ingress: Vec<(Packet, SnrLevel)>,
-    /// Batch size for ingress flushes (the `EXBOX_BATCH` knob).
-    batch: usize,
 }
 
 impl GatewayShard {
@@ -281,17 +275,14 @@ impl GatewayShard {
         recovering: Arc<AtomicBool>,
         faults: FaultPlan,
         decision_cache_size: usize,
-        batch: usize,
         registry: &MetricsRegistry,
     ) -> Self {
         let window = cfg.classify_window;
         let log_capacity = cfg.decision_log_capacity.max(1);
         let rejected = RejectedRing::new(cfg.rejected_capacity);
-        let batch = batch.max(1);
         GatewayShard {
             id,
             cfg,
-            table: FlowTable::new(),
             early: EarlyClassifier::with_default_profiles(window),
             flows: FlowMap::new(),
             rejected,
@@ -308,8 +299,6 @@ impl GatewayShard {
             decisions: EventRing::new(log_capacity),
             faults,
             last_poll: Instant::ZERO,
-            ingress: Vec::with_capacity(batch),
-            batch,
         }
     }
 
@@ -354,7 +343,6 @@ impl GatewayShard {
             self.metrics.drops_rejected.inc();
             return Action::Drop;
         }
-        self.table.observe(pkt);
         if self.flows.contains_key(&pkt.flow) {
             return Action::Forward;
         }
@@ -527,8 +515,6 @@ impl GatewayShard {
     ///   Admission and rejection are terminal within a batch
     ///   (revocation happens only in `poll`, departure only in
     ///   `flow_departed`), so the cached verdict cannot go stale.
-    ///   Cached drops skip `table.observe` — matching the per-packet
-    ///   path, where rejected flows drop before the table sees them.
     /// - `shard.packets` and `shard.drops_rejected` are flushed once
     ///   per batch instead of per packet.
     pub fn process_packets(&mut self, pkts: &[(Packet, SnrLevel)]) -> Vec<Action> {
@@ -633,7 +619,6 @@ impl GatewayShard {
                     }
                     Some((key, Action::Forward)) if key == pkt.flow => {
                         idx += 1;
-                        self.table.observe(pkt);
                         emit(seq, Action::Forward);
                         continue;
                     }
@@ -646,7 +631,6 @@ impl GatewayShard {
                     emit(seq, Action::Drop);
                     continue;
                 }
-                self.table.observe(pkt);
                 if self.flows.contains_key(&pkt.flow) {
                     idx += 1;
                     last = Some((pkt.flow, Action::Forward));
@@ -700,36 +684,6 @@ impl GatewayShard {
         self.metrics.drops_rejected.add(cached_drops);
     }
 
-    /// Queue a packet on the shard's ingress ring for a later
-    /// [`GatewayShard::flush_ingress`]. Returns `false` when the ring
-    /// is full (the caller should flush and retry).
-    pub fn enqueue(&mut self, pkt: Packet, snr: SnrLevel) -> bool {
-        if self.ingress.len() >= self.batch {
-            return false;
-        }
-        self.ingress.push((pkt, snr));
-        true
-    }
-
-    /// Number of packets waiting on the ingress ring.
-    pub fn pending_ingress(&self) -> usize {
-        self.ingress.len()
-    }
-
-    /// Drain the ingress ring through [`GatewayShard::process_packets`]
-    /// and return the verdicts in arrival order.
-    pub fn flush_ingress(&mut self) -> Vec<Action> {
-        if self.ingress.is_empty() {
-            return Vec::new();
-        }
-        let pending = std::mem::take(&mut self.ingress);
-        let out = self.process_packets(&pending);
-        // Keep the ring's allocation across flushes.
-        self.ingress = pending;
-        self.ingress.clear();
-        out
-    }
-
     /// Record a delivery report for a flow admitted by this shard.
     pub fn record_delivery(&mut self, key: &FlowKey, sent: Instant, received: Instant, size: u32) {
         if let Some(slot) = self.flows.slot_of(key) {
@@ -769,7 +723,6 @@ impl GatewayShard {
             .rejected_occupancy
             .set(self.rejected.len() as f64);
         self.early.forget(key);
-        self.table.remove(key);
     }
 
     /// Periodic poll over this shard's flows: QoE estimation, one

@@ -2,10 +2,10 @@
 //!
 //! Wires the substrates into the gateway-resident pipeline:
 //!
-//! 1. every packet updates the flow table; the first packets of a new
-//!    flow run through early traffic classification (§4.2: "a flow
-//!    needs to be admitted briefly before any admission control
-//!    decision is made"),
+//! 1. packets of admitted flows forward on a flow-table hit; the
+//!    first packets of a new flow run through early traffic
+//!    classification (§4.2: "a flow needs to be admitted briefly
+//!    before any admission control decision is made"),
 //! 2. once classified, the flow's `(class, SNR-level)` forms the
 //!    arrival tuple and the Admittance Classifier decides,
 //! 3. admitted flows are QoS-metered; periodic polls estimate QoE via
@@ -52,9 +52,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use exbox_ml::Label;
-use exbox_net::{
-    AppClass, Duration, EarlyClassifier, FlowKey, FlowTable, Instant, Packet, QosMeter,
-};
+use exbox_net::{AppClass, Duration, EarlyClassifier, FlowKey, Instant, Packet, QosMeter};
 use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
 use exbox_par::ThreadPool;
 
@@ -301,7 +299,6 @@ impl Default for MiddleboxConfig {
 #[derive(Debug)]
 pub struct Middlebox {
     cfg: MiddleboxConfig,
-    table: FlowTable,
     early: EarlyClassifier,
     admittance: AdmittanceClassifier,
     estimator: QoeEstimator,
@@ -356,7 +353,6 @@ impl Middlebox {
         admittance.set_fault_plan(faults.clone());
         Middlebox {
             cfg,
-            table: FlowTable::new(),
             early: EarlyClassifier::with_default_profiles(window),
             admittance,
             estimator,
@@ -614,14 +610,13 @@ impl Middlebox {
         for (pkt, snr) in pkts {
             match last {
                 Some((key, Action::Drop)) if key == pkt.flow => {
-                    // Same op order as the slow path: rejected flows
-                    // drop before the flow table observes them.
+                    // Same as the slow path: rejected flows drop
+                    // before any other per-flow state is touched.
                     cached_drops += 1;
                     out.push(Action::Drop);
                     continue;
                 }
                 Some((key, Action::Forward)) if key == pkt.flow => {
-                    self.table.observe(pkt);
                     out.push(Action::Forward);
                     continue;
                 }
@@ -649,7 +644,6 @@ impl Middlebox {
             self.metrics.drops_rejected.inc();
             return Action::Drop;
         }
-        self.table.observe(pkt);
         if self.flows.contains_key(&pkt.flow) {
             return Action::Forward;
         }
@@ -794,7 +788,6 @@ impl Middlebox {
             .rejected_occupancy
             .set(self.rejected.len() as f64);
         self.early.forget(key);
-        self.table.remove(key);
     }
 
     /// Periodic poll (paper §4.3): estimate admitted flows' QoE from

@@ -17,10 +17,14 @@
 //! [`EarlyClassifier::observe`] returning `None` until it has seen
 //! enough packets and `Some(class)` exactly once thereafter.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 
-use crate::packet::{Direction, FlowKey, Packet};
+use crate::packet::{Direction, FlowKey, FxHasher, Packet};
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Lazily-bound global counters (classification fires once per flow,
 /// so a relaxed atomic behind a `OnceLock` is plenty).
@@ -120,35 +124,31 @@ pub type PacketRecord = (Instant, u32, Direction);
 
 impl FlowFeatures {
     /// Compute features from packet records (any direction mix).
+    /// Allocation-free: each statistic re-walks the records instead of
+    /// collecting them, summing in the same order as the textbook
+    /// two-pass mean/variance over a collected vector, so the result is
+    /// bit-for-bit the same.
     ///
     /// # Panics
     /// Panics if `packets` is empty.
     pub fn from_packets(packets: &[PacketRecord]) -> FlowFeatures {
         assert!(!packets.is_empty(), "need at least one packet");
-        let down: Vec<f64> = packets
-            .iter()
-            .filter(|(_, _, d)| *d == Direction::Downlink)
-            .map(|(_, s, _)| *s as f64)
-            .collect();
-        let (mean_down_size, std_down_size) = if down.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let m = down.iter().sum::<f64>() / down.len() as f64;
-            let v = down.iter().map(|s| (s - m) * (s - m)).sum::<f64>() / down.len() as f64;
-            (m, v.sqrt())
+        let down = || {
+            packets
+                .iter()
+                .filter(|(_, _, d)| *d == Direction::Downlink)
+                .map(|(_, s, _)| *s as f64)
         };
-        let mut iats = Vec::new();
-        for w in packets.windows(2) {
-            iats.push(w[1].0.saturating_since(w[0].0).as_secs_f64() * 1e3);
-        }
-        let (mean_iat_ms, iat_cov) = if iats.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let m = iats.iter().sum::<f64>() / iats.len() as f64;
-            let var = iats.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / iats.len() as f64;
-            let cov = if m > 1e-9 { var.sqrt() / m } else { 0.0 };
-            (m, cov)
+        let iats = || {
+            packets
+                .windows(2)
+                .map(|w| w[1].0.saturating_since(w[0].0).as_secs_f64() * 1e3)
         };
+        let (mean_down_size, std_down_size) =
+            mean_var(down).map_or((0.0, 0.0), |(m, v)| (m, v.sqrt()));
+        let (mean_iat_ms, iat_cov) = mean_var(iats).map_or((0.0, 0.0), |(m, v)| {
+            (m, if m > 1e-9 { v.sqrt() / m } else { 0.0 })
+        });
         let ups = packets
             .iter()
             .filter(|(_, _, d)| *d == Direction::Uplink)
@@ -175,6 +175,18 @@ impl FlowFeatures {
     }
 }
 
+/// Population mean and variance of a re-iterable sequence (`None` if
+/// it is empty), without buffering it.
+fn mean_var<I: Iterator<Item = f64>>(xs: impl Fn() -> I) -> Option<(f64, f64)> {
+    let n = xs().count();
+    if n == 0 {
+        return None;
+    }
+    let m = xs().sum::<f64>() / n as f64;
+    let var = xs().map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64;
+    Some((m, var))
+}
+
 /// Per-class centroid in normalised feature space.
 #[derive(Debug, Clone, Copy)]
 struct Profile {
@@ -182,8 +194,27 @@ struct Profile {
     centroid: [f64; 5],
 }
 
+/// What the classifier holds for one flow.
+#[derive(Debug)]
+enum FlowState {
+    /// Inside the statistical window: the packets seen so far, in a
+    /// buffer allocated once with capacity `window`.
+    Pending(Vec<PacketRecord>),
+    /// Classified; further packets are ignored until `forget`.
+    Decided(AppClass),
+}
+
 /// Early flow classifier: buffers the first `window` packets of each
 /// flow, then emits a one-shot classification.
+///
+/// Every packet of a not-yet-admitted flow passes through
+/// [`EarlyClassifier::observe`], so its per-flow state is one map,
+/// `FlowKey → Pending(buffer) | Decided(class)`, on the seedless
+/// [`FxHasher`] (the fold behind
+/// [`hash_flow_key`](crate::packet::hash_flow_key)): one map probe per
+/// packet, one buffer allocation per statistically classified flow
+/// (none for flows classified by endpoint), and the endpoint hints
+/// are probed only when some are registered.
 #[derive(Debug)]
 pub struct EarlyClassifier {
     window: usize,
@@ -191,9 +222,8 @@ pub struct EarlyClassifier {
     /// Server-endpoint prior learned at training time: flows to a
     /// known video CDN / conferencing relay / web origin classify by
     /// endpoint, as production classifiers do via DNS/SNI.
-    server_hints: HashMap<Ipv4Addr, AppClass>,
-    pending: HashMap<FlowKey, Vec<PacketRecord>>,
-    decided: HashMap<FlowKey, AppClass>,
+    server_hints: FxMap<Ipv4Addr, AppClass>,
+    flows: FxMap<FlowKey, FlowState>,
 }
 
 impl EarlyClassifier {
@@ -223,9 +253,8 @@ impl EarlyClassifier {
                     centroid: [1000.0 / 1500.0, 220.0 / 1500.0, 25.0 / 100.0, 0.10, 0.5],
                 },
             ],
-            server_hints: HashMap::new(),
-            pending: HashMap::new(),
-            decided: HashMap::new(),
+            server_hints: FxMap::default(),
+            flows: FxMap::default(),
         }
     }
 
@@ -263,9 +292,8 @@ impl EarlyClassifier {
         EarlyClassifier {
             window,
             profiles,
-            server_hints: HashMap::new(),
-            pending: HashMap::new(),
-            decided: HashMap::new(),
+            server_hints: FxMap::default(),
+            flows: FxMap::default(),
         }
     }
 
@@ -285,68 +313,95 @@ impl EarlyClassifier {
     /// immediately for known endpoints, otherwise on the packet that
     /// completes its statistical window.
     pub fn observe(&mut self, pkt: &Packet) -> Option<AppClass> {
-        if self.decided.contains_key(&pkt.flow) {
-            return None;
-        }
-        if let Some(&class) = self.server_hints.get(&pkt.flow.server_ip) {
-            self.pending.remove(&pkt.flow);
-            self.decided.insert(pkt.flow, class);
-            metrics::hint_classified().inc();
-            metrics::classified().inc();
-            return Some(class);
-        }
-        let buf = self.pending.entry(pkt.flow).or_default();
-        buf.push((pkt.timestamp, pkt.size, pkt.direction));
-        if buf.len() < self.window {
-            return None;
-        }
-        let feats = FlowFeatures::from_packets(buf);
-        let class = self.classify_features(&feats);
-        self.pending.remove(&pkt.flow);
-        self.decided.insert(pkt.flow, class);
+        let hints = &self.server_hints;
+        let hint = || {
+            if hints.is_empty() {
+                None
+            } else {
+                hints.get(&pkt.flow.server_ip).copied()
+            }
+        };
+        let record = (pkt.timestamp, pkt.size, pkt.direction);
+        let class = match self.flows.entry(pkt.flow) {
+            Entry::Occupied(e) => {
+                let state = e.into_mut();
+                let FlowState::Pending(buf) = state else {
+                    return None;
+                };
+                let class = match hint() {
+                    Some(class) => {
+                        metrics::hint_classified().inc();
+                        class
+                    }
+                    None => {
+                        buf.push(record);
+                        if buf.len() < self.window {
+                            return None;
+                        }
+                        nearest(&self.profiles, &FlowFeatures::from_packets(buf))
+                    }
+                };
+                *state = FlowState::Decided(class);
+                class
+            }
+            Entry::Vacant(e) => match hint() {
+                Some(class) => {
+                    e.insert(FlowState::Decided(class));
+                    metrics::hint_classified().inc();
+                    class
+                }
+                None => {
+                    // `window >= 2`, so a first packet never completes it.
+                    let mut buf = Vec::with_capacity(self.window);
+                    buf.push(record);
+                    e.insert(FlowState::Pending(buf));
+                    return None;
+                }
+            },
+        };
         metrics::classified().inc();
         Some(class)
     }
 
     /// Classify a feature vector directly (nearest centroid).
     pub fn classify_features(&self, feats: &FlowFeatures) -> AppClass {
-        let v = feats.as_vector();
-        self.profiles
-            .iter()
-            .min_by(|a, b| {
-                let da: f64 = a
-                    .centroid
-                    .iter()
-                    .zip(&v)
-                    .map(|(c, x)| (c - x) * (c - x))
-                    .sum();
-                let db: f64 = b
-                    .centroid
-                    .iter()
-                    .zip(&v)
-                    .map(|(c, x)| (c - x) * (c - x))
-                    .sum();
-                da.partial_cmp(&db).expect("finite distances")
-            })
-            .expect("profiles non-empty")
-            .class
+        nearest(&self.profiles, feats)
     }
 
     /// The class previously decided for a flow, if any.
     pub fn class_of(&self, key: &FlowKey) -> Option<AppClass> {
-        self.decided.get(key).copied()
+        match self.flows.get(key) {
+            Some(FlowState::Decided(class)) => Some(*class),
+            _ => None,
+        }
     }
 
     /// Drop state for a finished flow.
     pub fn forget(&mut self, key: &FlowKey) {
-        self.pending.remove(key);
-        self.decided.remove(key);
+        self.flows.remove(key);
     }
 
     /// Number of packets buffered before deciding.
     pub fn window(&self) -> usize {
         self.window
     }
+}
+
+/// Nearest-centroid class of `feats` (the first profile wins ties).
+fn nearest(profiles: &[Profile], feats: &FlowFeatures) -> AppClass {
+    let v = feats.as_vector();
+    let dist = |p: &Profile| -> f64 {
+        p.centroid
+            .iter()
+            .zip(&v)
+            .map(|(c, x)| (c - x) * (c - x))
+            .sum()
+    };
+    profiles
+        .iter()
+        .min_by(|a, b| dist(a).partial_cmp(&dist(b)).expect("finite distances"))
+        .expect("profiles non-empty")
+        .class
 }
 
 #[cfg(test)]

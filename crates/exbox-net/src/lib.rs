@@ -7,9 +7,8 @@
 //!
 //! * [`time`] — nanosecond-precision simulated clock types shared by
 //!   the whole workspace.
-//! * [`packet`] — packets and 5-tuple flow keys.
-//! * [`flow`] — the gateway flow table with per-flow accounting and
-//!   idle eviction (the paper's `tcpdump`-style passive monitoring).
+//! * [`packet`] — packets, 5-tuple flow keys and the seedless FxHash
+//!   ([`hash_flow_key`], [`FxHasher`]) every per-flow map uses.
 //! * [`qos`] — per-flow QoS meters: throughput, delay, loss, and the
 //!   paper's scalar `QoS = throughput / delay` index (§5.3).
 //! * [`shaper`] — token-bucket rate limiting plus netem-style constant
@@ -24,7 +23,6 @@
 //!   `tcpdump`/`tcpreplay` workflow.
 
 pub mod classify;
-pub mod flow;
 pub mod packet;
 pub mod pcap;
 pub mod qos;
@@ -32,8 +30,7 @@ pub mod shaper;
 pub mod time;
 
 pub use classify::{AppClass, EarlyClassifier, FlowFeatures};
-pub use flow::{FlowStats, FlowTable};
-pub use packet::{Direction, FlowKey, Packet, Protocol};
+pub use packet::{hash_flow_key, Direction, FlowKey, FxHasher, Packet, Protocol};
 pub use qos::{QosMeter, QosSample};
 pub use shaper::{NetemLink, TokenBucket};
 pub use time::{Duration, Instant};

@@ -34,6 +34,9 @@ const LINKTYPE_RAW: u32 = 101;
 const IPV4_HEADER_LEN: usize = 20;
 const UDP_HEADER_LEN: usize = 8;
 const TCP_HEADER_LEN: usize = 20;
+/// Largest record the reader allocates for, whatever the snaplen says
+/// (libpcap's own ceiling for a classic capture).
+const MAX_RECORD_LEN: usize = 256 * 1024;
 
 /// Streaming pcap writer.
 #[derive(Debug)]
@@ -161,6 +164,9 @@ fn ipv4_checksum(header: &[u8]) -> u16 {
 pub struct PcapReader<R: Read> {
     input: R,
     ns_resolution: bool,
+    /// Largest acceptable `incl_len`: the global header's snaplen,
+    /// capped at [`MAX_RECORD_LEN`].
+    max_record: usize,
 }
 
 impl<R: Read> PcapReader<R> {
@@ -189,16 +195,20 @@ impl<R: Read> PcapReader<R> {
                 format!("unsupported link type {linktype} (want LINKTYPE_RAW)"),
             ));
         }
+        let snaplen = u32::from_le_bytes([hdr[16], hdr[17], hdr[18], hdr[19]]) as usize;
         Ok(PcapReader {
             input,
             ns_resolution,
+            max_record: snaplen.min(MAX_RECORD_LEN),
         })
     }
 
     /// Read the next packet; `Ok(None)` at clean EOF.
     ///
     /// # Errors
-    /// `InvalidData` for malformed records or unsupported protocols.
+    /// `InvalidData` for malformed records or unsupported protocols,
+    /// including a record longer than the snaplen (checked before any
+    /// allocation) and an IPv4 header length below 20 bytes.
     pub fn read_packet(&mut self) -> io::Result<Option<Packet>> {
         let mut rec = [0u8; 16];
         match self.input.read_exact(&mut rec) {
@@ -217,13 +227,19 @@ impl<R: Read> PcapReader<R> {
                 frac * 1_000
             };
 
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+        if incl > self.max_record {
+            return Err(bad("record longer than the capture's snaplen"));
+        }
         let mut data = vec![0u8; incl];
         self.input.read_exact(&mut data)?;
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         if data.len() < IPV4_HEADER_LEN || data[0] >> 4 != 4 {
             return Err(bad("not an IPv4 packet"));
         }
         let ihl = ((data[0] & 0x0F) as usize) * 4;
+        if ihl < IPV4_HEADER_LEN {
+            return Err(bad("IPv4 header length below 20 bytes"));
+        }
         if data.len() < ihl + 4 {
             return Err(bad("truncated transport header"));
         }

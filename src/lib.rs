@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`core`] | ExCR, IQX QoE estimation, Admittance Classifier, baselines, network selection, the middlebox |
 //! | [`ml`] | SMO SVM, Pegasos, logistic regression, cross-validation, metrics |
-//! | [`net`] | packets, flow table, QoS meters, shaper, early traffic classification, pcap |
+//! | [`net`] | packets, flow keys and their FxHash, QoS meters, shaper, early traffic classification, pcap |
 //! | [`sim`] | discrete-event 802.11 DCF + LTE TTI cell simulators, fluid models, app QoE |
 //! | [`traffic`] | web / streaming / conferencing generators, Random + LiveLab workloads |
 //! | [`testbed`] | emulated testbeds, IQX training sweeps, online evaluation harness |
