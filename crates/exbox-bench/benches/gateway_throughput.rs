@@ -2,8 +2,8 @@
 //!
 //! `GatewayThroughput/{1,2,4,8}shard` replays the same flow-arrival
 //! storm through a serving-only [`ConcurrentGateway`] with 1/2/4/8
-//! shards, each shard driven by its own pinned `exbox-par`
-//! [`WorkerPool`] worker. Every flow sends 10 packets (classified at
+//! shards, each shard moved out with `take_shards` and driven by its
+//! own scoped thread. Every flow sends 10 packets (classified at
 //! the 8th, decided against the shared matrix, admitted, then
 //! departed), so the run exercises the full packet path: rejected-set
 //! check, flow table, early classification, lock-free snapshot pin,
@@ -27,7 +27,6 @@
 //! `scripts/bench_compare.sh`, `--quick` for the CI smoke job.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use exbox_bench::{bench_args, emit_records, measure, BenchRecord};
 use exbox_core::gateway::{ConcurrentGateway, GatewayConfig, ModelSnapshot};
@@ -35,7 +34,6 @@ use exbox_core::prelude::*;
 use exbox_ml::Label;
 use exbox_net::{AppClass, Direction, FlowKey, Instant, Packet, Protocol};
 use exbox_obs::buckets;
-use exbox_par::WorkerPool;
 
 /// A classifier trained to a roomy streaming region (<= 32 flows), so
 /// the storm below keeps admitting and departing rather than
@@ -123,10 +121,8 @@ fn main() {
             partition[probe.shard_for(&key)].push((key, pkts));
         }
         drop(probe);
-        let partition = Arc::new(partition);
         let total_pkts = flows as usize * PKTS_PER_FLOW;
 
-        let pool = WorkerPool::new(shards);
         records.push(measure(
             format!("GatewayThroughput/{shards}shard"),
             total_pkts,
@@ -139,22 +135,22 @@ fn main() {
                     est.clone(),
                     ModelSnapshot::from_classifier(1, &classifier),
                 );
-                let gw_shards = gw.take_shards();
-                for (idx, mut shard) in gw_shards.into_iter().enumerate() {
-                    let chunk = Arc::clone(&partition);
-                    pool.submit(idx, move || {
-                        let mut served = 0u64;
-                        for (key, pkts) in &chunk[shard.id()] {
-                            for p in pkts {
-                                shard.process_packet(p, SnrLevel::High);
-                                served += 1;
+                std::thread::scope(|scope| {
+                    for mut shard in gw.take_shards() {
+                        let chunk = &partition[shard.id()];
+                        scope.spawn(move || {
+                            let mut served = 0u64;
+                            for (key, pkts) in chunk {
+                                for p in pkts {
+                                    shard.process_packet(p, SnrLevel::High);
+                                    served += 1;
+                                }
+                                shard.flow_departed(key);
                             }
-                            shard.flow_departed(key);
-                        }
-                        black_box(served);
-                    });
-                }
-                pool.barrier();
+                            black_box(served);
+                        });
+                    }
+                });
                 black_box(gw.matrix());
             },
         ));

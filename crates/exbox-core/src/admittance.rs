@@ -330,53 +330,96 @@ struct WarmState {
     bias: f64,
 }
 
-/// Bounded, generation-stamped memo of `(label, margin)` verdicts
-/// keyed by traffic matrix. Entries from an older generation are
-/// treated as misses; [`DecisionCache::invalidate`] (called on every
-/// retrain, and on every `observe` when the monotonicity guard reads
-/// the sample store) is therefore O(1). Capacity pressure first drops
-/// the stale generations, then — if the live working set alone
-/// overflows — clears outright, so memory stays bounded by `cap` live
-/// entries plus whatever stale ones the next insert sweeps.
+/// Bounded memo of `(label, margin)` verdicts keyed by `(epoch,
+/// traffic matrix)`: the one decision cache, used by the classifier
+/// (epoch = its cache generation, bumped on every retrain and, when
+/// the monotonicity guard reads the sample store, on every `observe`)
+/// and by every gateway shard (epoch = the pinned snapshot's epoch).
+/// Only the newest epoch is kept: a lookup under any other epoch
+/// misses, and the first insert under a new epoch clears the map, so
+/// invalidation is O(1) and costs nothing until the next decision.
+/// Capacity pressure clears outright, so memory stays bounded by
+/// `cap` entries; `cap == 0` disables caching.
 #[derive(Debug)]
-struct DecisionCache {
+pub(crate) struct DecisionCache {
     cap: usize,
-    generation: u64,
-    map: HashMap<TrafficMatrix, (u64, Label, f64)>,
+    epoch: u64,
+    map: HashMap<TrafficMatrix, (Label, f64)>,
 }
 
 impl DecisionCache {
-    fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         DecisionCache {
             cap,
-            generation: 0,
+            epoch: 0,
             map: HashMap::new(),
         }
     }
 
-    fn get(&self, key: &TrafficMatrix) -> Option<(Label, f64)> {
-        match self.map.get(key) {
-            Some(&(gen, label, margin)) if gen == self.generation => Some((label, margin)),
-            _ => None,
+    pub(crate) fn get(&self, epoch: u64, key: &TrafficMatrix) -> Option<(Label, f64)> {
+        if epoch != self.epoch {
+            return None;
         }
+        self.map.get(key).copied()
     }
 
-    fn insert(&mut self, key: TrafficMatrix, label: Label, margin: f64) {
+    pub(crate) fn insert(&mut self, epoch: u64, key: TrafficMatrix, label: Label, margin: f64) {
         if self.cap == 0 {
             return;
         }
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            let gen = self.generation;
-            self.map.retain(|_, &mut (g, _, _)| g == gen);
-            if self.map.len() >= self.cap {
-                self.map.clear();
-            }
+        if epoch != self.epoch {
+            self.map.clear();
+            self.epoch = epoch;
         }
-        self.map.insert(key, (self.generation, label, margin));
+        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
+            self.map.clear();
+        }
+        self.map.insert(key, (label, margin));
     }
+}
 
-    fn invalidate(&mut self) {
-        self.generation += 1;
+/// Downward-closure check against a sample store: `Neg` when the
+/// query dominates a known-inadmissible matrix, `Pos` when a
+/// known-admissible matrix dominates the query. Exact matches are
+/// covered by both rules (dominance is reflexive), so a stored
+/// matrix returns its stored label, negatives winning ties.
+pub(crate) fn dominance_label(
+    samples: &[(TrafficMatrix, Label)],
+    query: &TrafficMatrix,
+) -> Option<Label> {
+    let qf = query.features();
+    let dominates = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x >= y);
+    let mut dominated_by_pos = false;
+    for (m, y) in samples {
+        let mf = m.features();
+        match y {
+            Label::Neg if dominates(&qf, &mf) => return Some(Label::Neg),
+            Label::Pos if dominates(&mf, &qf) => dominated_by_pos = true,
+            _ => {}
+        }
+    }
+    dominated_by_pos.then_some(Label::Pos)
+}
+
+/// The decision rule shared by [`AdmittanceClassifier::decide`] and
+/// the gateway's [`crate::gateway::ModelSnapshot::decide`]: admit
+/// everything in bootstrap; online, the monotonicity guard (when
+/// `guard` carries the sample store) overrides the model, then the
+/// margin sign decides (admit when no model exists — the degraded
+/// fallback gates that case upstream).
+pub(crate) fn decision_label(
+    phase: Phase,
+    guard: Option<&[(TrafficMatrix, Label)]>,
+    query: &TrafficMatrix,
+    margin: Option<f64>,
+) -> Label {
+    match phase {
+        Phase::Bootstrap => Label::Pos,
+        Phase::Online => match (guard.and_then(|s| dominance_label(s, query)), margin) {
+            (Some(l), _) => l,
+            (None, Some(v)) => Label::from_signum(v),
+            (None, None) => Label::Pos,
+        },
     }
 }
 
@@ -402,6 +445,9 @@ pub struct AdmittanceClassifier {
     /// deliberately not checkpointed).
     kernel_cache: PersistentKernelCache,
     cache: DecisionCache,
+    /// Epoch of [`AdmittanceClassifier::cache`] entries; bumping it
+    /// invalidates every cached verdict.
+    generation: u64,
     metrics: AdmittanceMetrics,
     faults: FaultPlan,
     backoff: RetryBackoff,
@@ -505,6 +551,7 @@ impl AdmittanceClassifier {
             warm: None,
             kernel_cache: PersistentKernelCache::new(),
             cache,
+            generation: 0,
             metrics: AdmittanceMetrics::bind(registry),
             faults: FaultPlan::disabled(),
             backoff: RetryBackoff::default(),
@@ -573,7 +620,7 @@ impl AdmittanceClassifier {
         // with it enabled every observation can change a verdict —
         // not just retrains.
         if self.cfg.monotone_guard {
-            self.cache.invalidate();
+            self.generation += 1;
         }
         match self.phase {
             Phase::Bootstrap => self.try_exit_bootstrap(),
@@ -757,7 +804,7 @@ impl AdmittanceClassifier {
         }
         // Dropped rows change what the monotonicity guard and the next
         // scaler fit see.
-        self.cache.invalidate();
+        self.generation += 1;
         self.scaler_stale = true;
         self.metrics.store_compactions.inc();
     }
@@ -885,7 +932,7 @@ impl AdmittanceClassifier {
         self.model = Some(model);
         self.retrain_count += 1;
         self.backoff.on_success();
-        self.cache.invalidate();
+        self.generation += 1;
     }
 
     /// Capture the complete learnt state for checkpointing. The SVM
@@ -1050,17 +1097,16 @@ impl AdmittanceClassifier {
     /// assert_eq!(first.1.unwrap().to_bits(), again.1.unwrap().to_bits());
     /// ```
     pub fn decide(&mut self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
-        if self.model.is_none() {
-            return self.decide_uncached(resulting);
-        }
-        if let Some((label, margin)) = self.cache.get(resulting) {
+        if let Some((label, margin)) = self.cache.get(self.generation, resulting) {
             self.metrics.cache_hits.inc();
             return (label, Some(margin));
         }
-        self.metrics.cache_misses.inc();
         let (label, margin) = self.decide_uncached(resulting);
+        // Without a model there is no margin: such decisions are
+        // neither cached nor counted.
         if let Some(m) = margin {
-            self.cache.insert(*resulting, label, m);
+            self.metrics.cache_misses.inc();
+            self.cache.insert(self.generation, *resulting, label, m);
         }
         (label, margin)
     }
@@ -1070,42 +1116,33 @@ impl AdmittanceClassifier {
     /// monotonicity guard).
     fn decide_uncached(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
         let margin = self.decision_value(resulting);
-        let label = match self.phase {
-            Phase::Bootstrap => Label::Pos,
-            Phase::Online => {
-                let guarded = if self.cfg.monotone_guard {
-                    self.dominance_label(resulting)
-                } else {
-                    None
-                };
-                match (guarded, margin) {
-                    (Some(l), _) => l,
-                    (None, Some(v)) => Label::from_signum(v),
-                    (None, None) => Label::Pos,
-                }
-            }
-        };
+        let label = decision_label(self.phase, self.guard_samples(), resulting, margin);
         (label, margin)
     }
 
-    /// Downward-closure check against the stored samples: `Neg` when
-    /// the query dominates a known-inadmissible matrix, `Pos` when a
-    /// known-admissible matrix dominates the query. Exact matches are
-    /// covered by both rules (dominance is reflexive), so a stored
-    /// matrix returns its stored label, negatives winning ties.
+    /// The sample store the monotonicity guard reads, when the guard
+    /// is on; the gateway's published snapshots carry a copy of it.
+    pub(crate) fn guard_samples(&self) -> Option<&[(TrafficMatrix, Label)]> {
+        self.cfg.monotone_guard.then_some(self.samples.as_slice())
+    }
+
+    /// Whether observing `(matrix, label)` would change what the
+    /// monotonicity guard reads: the guard is on and the store does
+    /// not already hold exactly this sample. A publisher must then
+    /// re-export the store even if no retrain follows.
+    pub(crate) fn observation_changes_guard(&self, matrix: &TrafficMatrix, label: Label) -> bool {
+        self.cfg.monotone_guard && self.index.get(matrix).map(|&i| self.samples[i].1) != Some(label)
+    }
+
+    /// Capacity of the decision cache, after the
+    /// `EXBOX_DECISION_CACHE` override.
+    pub(crate) fn decision_cache_size(&self) -> usize {
+        self.cfg.decision_cache_size
+    }
+
+    #[cfg(test)]
     fn dominance_label(&self, query: &TrafficMatrix) -> Option<Label> {
-        let qf = query.features();
-        let dominates = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x >= y);
-        let mut dominated_by_pos = false;
-        for (m, y) in &self.samples {
-            let mf = m.features();
-            match y {
-                Label::Neg if dominates(&qf, &mf) => return Some(Label::Neg),
-                Label::Pos if dominates(&mf, &qf) => dominated_by_pos = true,
-                _ => {}
-            }
-        }
-        dominated_by_pos.then_some(Label::Pos)
+        dominance_label(&self.samples, query)
     }
 }
 

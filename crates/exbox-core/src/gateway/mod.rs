@@ -1,9 +1,13 @@
 //! Concurrent sharded gateway: lock-free model snapshots, off-path
 //! retraining, multi-core packet serving.
 //!
-//! The single-threaded [`Middlebox`](crate::middlebox::Middlebox)
-//! interleaves serving and learning in one loop; this module splits
-//! them so admission keeps scaling with cores while the SVM trains:
+//! [`GatewayShard`] is the one implementation of the packet, poll and
+//! lifecycle path. The single-threaded
+//! [`Middlebox`](crate::middlebox::Middlebox) is one shard whose poll
+//! observations feed an inline learner that publishes synchronously;
+//! [`ConcurrentGateway`] runs N shards and moves learning to a
+//! background trainer so admission keeps scaling with cores while the
+//! SVM trains. Both learners share one observe-and-publish step.
 //!
 //! ```text
 //!            packets (flow-hashed)                 observations
@@ -47,8 +51,9 @@
 //! Shard count comes from [`GatewayConfig::shards`] or the
 //! `EXBOX_SHARDS` environment knob ([`GatewayConfig::from_env`]). A
 //! 1-shard gateway makes the same per-flow verdicts as the
-//! single-threaded middlebox on the same trace (asserted in
-//! `tests/gateway_concurrent.rs`).
+//! single-threaded middlebox on the same trace, and a guarded
+//! classifier's verdicts are served unchanged through the snapshot
+//! (both asserted in `tests/gateway_concurrent.rs`).
 
 pub(crate) mod channel;
 mod lane;
@@ -82,6 +87,8 @@ pub use pipeline::PipelineHandle;
 pub use shard::{GatewayShard, SharedMatrix};
 pub use snapshot::{ModelSnapshot, SnapshotCell, SnapshotGuard, SnapshotReader};
 
+pub(crate) use shard::Outlet;
+pub(crate) use trainer::Publisher;
 use trainer::{TrainerHandle, TrainerMetrics, TrainerMsg};
 
 /// The gateway's stable flow-routing function: the shard owning `key`
@@ -144,24 +151,21 @@ impl Default for GatewayConfig {
 impl GatewayConfig {
     /// Defaults, with the shard count overridden by `EXBOX_SHARDS` and
     /// the ingress batch size by `EXBOX_BATCH`, each when set to a
-    /// positive integer (anything else is ignored).
+    /// positive integer; anything else warns and keeps the default
+    /// ([`exbox_par::parse_env_knob`]).
     pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(raw) = std::env::var(SHARDS_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    cfg.shards = n;
-                }
-            }
+        let knob = |name: &str, default: usize| {
+            std::env::var(name)
+                .ok()
+                .and_then(|raw| exbox_par::parse_env_knob::<usize>(name, &raw, |n| *n >= 1))
+                .unwrap_or(default)
+        };
+        let defaults = Self::default();
+        GatewayConfig {
+            shards: knob(SHARDS_ENV, defaults.shards),
+            batch: knob(BATCH_ENV, defaults.batch),
+            ..defaults
         }
-        if let Ok(raw) = std::env::var(BATCH_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    cfg.batch = n;
-                }
-            }
-        }
-        cfg
     }
 }
 
@@ -328,14 +332,14 @@ impl ConcurrentGateway {
             TrainerHandle::spawn(
                 classifier,
                 estimator.clone(),
-                Arc::clone(&cell),
-                Arc::clone(&recovering),
+                Publisher::new(
+                    Arc::clone(&cell),
+                    Arc::clone(&recovering),
+                    &trainer_registry,
+                ),
                 TrainerMetrics {
                     checkpoint_writes: trainer_registry.counter("recovery.checkpoint_writes"),
-                    staleness: trainer_registry.gauge("gateway.snapshot_staleness"),
                     dropped_results: trainer_registry.counter("trainer.dropped_results"),
-                    stamp_mismatch: trainer_registry.counter("gateway.stamp_mismatch"),
-                    snapshot_retired: trainer_registry.gauge("gateway.snapshot_retired"),
                 },
                 obs_rx,
                 obs_tx.clone(),
@@ -356,7 +360,7 @@ impl ConcurrentGateway {
                 estimator.clone(),
                 Arc::clone(&shared),
                 cell.reader(),
-                obs_tx.clone(),
+                Outlet::Queued(obs_tx.clone()),
                 Arc::clone(&recovering),
                 plan,
                 cfg.decision_cache_size,
@@ -600,14 +604,11 @@ impl ConcurrentGateway {
         Arc::clone(&self.cell)
     }
 
-    /// True while admissions are served by the occupancy fallback —
-    /// same rule as [`Middlebox::is_degraded`](crate::middlebox::Middlebox::is_degraded),
-    /// evaluated against the published snapshot.
+    /// True while admissions are served by the occupancy fallback
+    /// ([`ModelSnapshot::is_degraded`] on the published snapshot).
     pub fn is_degraded(&mut self) -> bool {
         let recovering = self.recovering.load(Ordering::SeqCst);
-        let guard = self.control.pin();
-        !guard.model_available()
-            && (recovering || guard.phase() == crate::admittance::Phase::Online)
+        self.control.pin().is_degraded(recovering)
     }
 
     /// True while the gateway is recovering from a failed restore and

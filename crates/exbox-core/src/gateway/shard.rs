@@ -7,8 +7,14 @@
 //! counters. The only cross-shard state a decision reads is the
 //! [`SharedMatrix`] (the cell-wide traffic matrix, six atomic
 //! counters) and the published [`ModelSnapshot`] (pinned lock-free).
+//!
+//! The shard is the only implementation of the packet, poll and
+//! lifecycle path: a [`ConcurrentGateway`](super::ConcurrentGateway)
+//! runs N of them feeding a background trainer, and the
+//! single-threaded [`Middlebox`](crate::middlebox::Middlebox) is one
+//! of them with an inline learner. The two differ only in where a
+//! poll's observation goes (the `Outlet`).
 
-use std::collections::HashMap;
 use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
 
@@ -20,7 +26,7 @@ use exbox_ml::Label;
 use exbox_net::{AppClass, EarlyClassifier, FlowKey, Instant, Packet, QosMeter};
 use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
 
-use crate::admittance::Phase;
+use crate::admittance::{AdmittanceClassifier, DecisionCache, Phase};
 use crate::flowtable::{FlowMap, FlowSlot, RejectedRing, TimerWheel};
 use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
 use crate::middlebox::{
@@ -31,7 +37,7 @@ use crate::recovery::{FaultKind, FaultPlan};
 
 use super::pipeline::OrderGate;
 use super::snapshot::{ModelSnapshot, SnapshotReader};
-use super::trainer::TrainerMsg;
+use super::trainer::{Publisher, TrainerMsg};
 
 /// Abstraction over the two batch-input shapes — the sequential
 /// driver's `&[(Packet, SnrLevel)]` and the pipeline's
@@ -183,46 +189,20 @@ impl ShardMetrics {
     }
 }
 
-/// Bounded decision memo keyed by `(snapshot epoch, resulting
-/// matrix)`. A new epoch clears the map lazily on first insert, so a
-/// snapshot publish costs the shard nothing until it actually decides
-/// again.
+/// Where a shard's poll observations go.
 #[derive(Debug)]
-struct ShardDecisionCache {
-    cap: usize,
-    epoch: u64,
-    map: HashMap<TrafficMatrix, (Label, f64)>,
-}
-
-impl ShardDecisionCache {
-    fn new(cap: usize) -> Self {
-        ShardDecisionCache {
-            cap,
-            epoch: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn get(&self, epoch: u64, key: &TrafficMatrix) -> Option<(Label, f64)> {
-        if epoch != self.epoch {
-            return None;
-        }
-        self.map.get(key).copied()
-    }
-
-    fn insert(&mut self, epoch: u64, key: TrafficMatrix, label: Label, margin: f64) {
-        if self.cap == 0 {
-            return;
-        }
-        if epoch != self.epoch {
-            self.map.clear();
-            self.epoch = epoch;
-        }
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            self.map.clear();
-        }
-        self.map.insert(key, (label, margin));
-    }
+pub(crate) enum Outlet {
+    /// To the background trainer over the bounded queue
+    /// ([`ConcurrentGateway`](super::ConcurrentGateway)): non-blocking,
+    /// a full queue drops the observation (`gateway.obs_dropped`).
+    Queued(BoundedSender<TrainerMsg>),
+    /// Into a learner the shard owns
+    /// ([`Middlebox`](crate::middlebox::Middlebox)): absorbed and
+    /// published synchronously, before the poll re-evaluates.
+    Inline {
+        classifier: Box<AdmittanceClassifier>,
+        publisher: Publisher,
+    },
 }
 
 #[derive(Debug)]
@@ -230,14 +210,15 @@ struct ShardFlow {
     kind: FlowKind,
     meter: QosMeter,
     /// Timer-wheel deadline in poll ticks (`u64::MAX` while
-    /// unscheduled); see [`crate::middlebox`] for the protocol.
+    /// unscheduled): set when the first QoS report of a window
+    /// arrives, cleared when a poll evaluates the flow.
     next_eval: u64,
 }
 
 /// One flow-hash partition of the serving pipeline. Owned by exactly
 /// one worker thread at a time (`GatewayShard` is `Send`, methods take
 /// `&mut self`); all cross-shard coupling goes through the shared
-/// matrix, the snapshot cell and the trainer queue.
+/// matrix, the snapshot cell and the observation outlet.
 #[derive(Debug)]
 pub struct GatewayShard {
     id: usize,
@@ -251,11 +232,11 @@ pub struct GatewayShard {
     poll_seq: u64,
     /// Reusable per-poll slot buffer — no per-poll allocation.
     poll_scratch: Vec<FlowSlot>,
-    cache: ShardDecisionCache,
+    cache: DecisionCache,
     estimator: QoeEstimator,
     shared: Arc<SharedMatrix>,
     reader: SnapshotReader<ModelSnapshot>,
-    obs_tx: BoundedSender<TrainerMsg>,
+    outlet: Outlet,
     recovering: Arc<AtomicBool>,
     metrics: ShardMetrics,
     decisions: EventRing<DecisionEvent>,
@@ -271,7 +252,7 @@ impl GatewayShard {
         estimator: QoeEstimator,
         shared: Arc<SharedMatrix>,
         reader: SnapshotReader<ModelSnapshot>,
-        obs_tx: BoundedSender<TrainerMsg>,
+        outlet: Outlet,
         recovering: Arc<AtomicBool>,
         faults: FaultPlan,
         decision_cache_size: usize,
@@ -289,11 +270,11 @@ impl GatewayShard {
             wheel: TimerWheel::new(),
             poll_seq: 0,
             poll_scratch: Vec::new(),
-            cache: ShardDecisionCache::new(decision_cache_size),
+            cache: DecisionCache::new(decision_cache_size),
             estimator,
             shared,
             reader,
-            obs_tx,
+            outlet,
             recovering,
             metrics: ShardMetrics::bind(registry),
             decisions: EventRing::new(log_capacity),
@@ -323,20 +304,54 @@ impl GatewayShard {
     }
 
     /// True while this shard serves admissions through the occupancy
-    /// fallback: the published snapshot carries no model and either
-    /// the trainer already left bootstrap or the gateway is recovering
-    /// from a failed restore. Same rule as
-    /// [`crate::middlebox::Middlebox::is_degraded`].
-    pub fn is_degraded(&mut self) -> bool {
-        let recovering = self.recovering.load(Ordering::SeqCst);
-        let guard = self.reader.pin();
-        !guard.model_available() && (recovering || guard.phase() == Phase::Online)
+    /// fallback ([`ModelSnapshot::is_degraded`] on the published
+    /// snapshot). Pins through a short-lived reader, so it needs only
+    /// `&self`; a status query, not a packet-path call.
+    pub fn is_degraded(&self) -> bool {
+        let mut reader = self.reader.cell().reader();
+        let degraded = reader.pin().is_degraded(self.is_recovering());
+        degraded
     }
 
-    /// Process one packet of this shard's partition. Mirrors
-    /// [`crate::middlebox::Middlebox::process_packet`] step for step;
-    /// the decision evaluates the pinned [`ModelSnapshot`] against the
-    /// shared matrix instead of an in-line classifier.
+    /// True while the gateway is recovering from a failed restore and
+    /// no re-learnt model has been published yet.
+    pub fn is_recovering(&self) -> bool {
+        self.recovering.load(Ordering::SeqCst)
+    }
+
+    /// Register a known server endpoint with the early classifier
+    /// (the DNS/SNI prior).
+    pub(crate) fn learn_server_hint(&mut self, server: std::net::Ipv4Addr, class: AppClass) {
+        self.early.learn_server_hint(server, class);
+    }
+
+    /// The QoE estimator polls score flows with.
+    pub(crate) fn estimator(&self) -> &QoeEstimator {
+        &self.estimator
+    }
+
+    /// The classifier of an [`Outlet::Inline`] learner; `None` when
+    /// observations go to a background trainer.
+    pub(crate) fn inline_classifier(&self) -> Option<&AdmittanceClassifier> {
+        match &self.outlet {
+            Outlet::Inline { classifier, .. } => Some(classifier),
+            Outlet::Queued(_) => None,
+        }
+    }
+
+    /// Replace the fault-injection plan of the poll path and, for an
+    /// inline learner, of its classifier's retrains.
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
+        if let Outlet::Inline { classifier, .. } = &mut self.outlet {
+            classifier.set_fault_plan(plan.clone());
+        }
+        self.faults = plan;
+    }
+
+    /// Process one packet of this shard's partition: rejected-set
+    /// drop, flow-table forward, early classification (§4.2), then one
+    /// admission decision on the pinned [`ModelSnapshot`] against the
+    /// shared matrix.
     pub fn process_packet(&mut self, pkt: &Packet, snr: SnrLevel) -> Action {
         self.metrics.packets.inc();
         if self.rejected.contains(&pkt.flow) {
@@ -381,7 +396,7 @@ impl GatewayShard {
     #[allow(clippy::too_many_arguments)]
     fn decide_apply(
         snapshot: &ModelSnapshot,
-        cache: &mut ShardDecisionCache,
+        cache: &mut DecisionCache,
         metrics: &ShardMetrics,
         decisions: &mut EventRing<DecisionEvent>,
         shared: &SharedMatrix,
@@ -397,10 +412,9 @@ impl GatewayShard {
         let kind = FlowKind::new(class, snr);
         let matrix = shared.snapshot();
         let resulting = matrix.with_arrival(kind);
-        let degraded =
-            !snapshot.model_available() && (recovering || snapshot.phase() == Phase::Online);
+        let degraded = snapshot.is_degraded(recovering);
         let ((label, margin), decide_ns) = if degraded {
-            // Inline MaxClient semantics (`sync_load` + `decide`):
+            // The occupancy baseline (`baselines::MaxClient`'s rule):
             // admit while the current occupancy is below the cap.
             exbox_obs::time_ns(|| {
                 let label = if matrix.total() < fallback_cap {
@@ -472,15 +486,14 @@ impl GatewayShard {
     }
 
     /// Bounded-ring rejection bookkeeping (eviction counter, occupancy
-    /// gauge, warn-once pressure log); the shard twin of
-    /// [`crate::middlebox::Middlebox`]'s helper.
+    /// gauge, warn-once pressure log).
     fn note_rejection(rejected: &mut RejectedRing, metrics: &ShardMetrics, key: FlowKey) {
         let ins = rejected.insert(key);
         metrics.rejected_evictions.add(ins.evicted);
         metrics.rejected_occupancy.set(rejected.len() as f64);
         if ins.pressure {
             eprintln!(
-                "exbox: shard rejected-set eviction rate caught up with \
+                "exbox: rejected-set eviction rate caught up with \
                  insertions ({} live / {} evicted) — raise rejected_capacity \
                  or expect re-classification churn",
                 rejected.len(),
@@ -725,14 +738,19 @@ impl GatewayShard {
         self.early.forget(key);
     }
 
-    /// Periodic poll over this shard's flows: QoE estimation, one
-    /// observation shipped to the background trainer (non-blocking —
-    /// a full queue drops the observation and counts
-    /// `gateway.obs_dropped` rather than stalling), and region
-    /// re-evaluation against the snapshot pinned before that
-    /// observation was sent — a retrain it triggers never changes this
-    /// poll's revocations (DESIGN.md §10.6). A no-op before
-    /// `poll_interval` has elapsed.
+    /// Periodic poll over this shard's flows (paper §4.3): QoE
+    /// estimation, one observation for the learner, and region
+    /// re-evaluation of the admitted set. Returns **only the revoked
+    /// flows**, oldest admission first (kept flows are tallied in
+    /// `middlebox.keeps`). A no-op before `poll_interval` has elapsed.
+    ///
+    /// Which snapshot the re-evaluation uses depends on the observation
+    /// outlet (DESIGN.md §10.6): a queued observation leaves for the
+    /// background trainer (non-blocking — a full queue drops it and
+    /// counts `gateway.obs_dropped`) *after* the pin, so a retrain it
+    /// triggers never changes this poll's revocations; an inline
+    /// observation is absorbed and published *before* the pin, so a
+    /// retrain it triggers revokes in this same poll.
     ///
     /// Sharded-observation semantics: the label is the conjunction
     /// over *this shard's* flows against the *global* matrix. With one
@@ -784,10 +802,10 @@ impl GatewayShard {
         }
 
         // Per-flow acceptability folded into a (measured, unacceptable)
-        // count; idle flows contribute no evidence (the scan visits and
-        // skips them, the wheel never schedules them). Shards *are* the
-        // parallelism here, so the estimation stays serial within one
-        // shard.
+        // count: the matrix label is the conjunction (a matrix is
+        // achievable iff ALL flows are OK). Idle flows contribute no
+        // evidence (the scan visits and skips them, the wheel never
+        // schedules them).
         let (measured, unacceptable) = scratch
             .iter()
             .filter_map(|&slot| {
@@ -800,22 +818,39 @@ impl GatewayShard {
                 }
             })
             .fold((0u64, 0u64), |(m, u), ok| (m + 1, u + u64::from(!ok)));
-        let measured_any = measured > 0;
-        let all_ok = unacceptable == 0;
-        // Pin once, *before* the observation leaves: if it completes a
-        // retrain batch, the trainer's publish must not race the region
-        // re-evaluation below, which therefore always runs on the
-        // snapshot that was serving when the poll began (DESIGN.md §10.6).
-        let guard = self.reader.pin();
-        let poll_errored = self.faults.should_inject(FaultKind::PollError);
-        if poll_errored {
+        // A failed estimation pass (injected here; a wedged AP stats
+        // feed in a real deployment) yields no trustworthy labels, so
+        // the observation is skipped — re-evaluation against the
+        // already-learnt region below still runs.
+        let observation = if self.faults.should_inject(FaultKind::PollError) {
             self.metrics.poll_errors.inc();
-        } else if measured_any {
-            let label = if all_ok { Label::Pos } else { Label::Neg };
-            match self.obs_tx.try_send(TrainerMsg::Observe {
-                matrix: self.shared.snapshot(),
-                label,
-            }) {
+            None
+        } else if measured > 0 {
+            let label = if unacceptable == 0 {
+                Label::Pos
+            } else {
+                Label::Neg
+            };
+            Some((self.shared.snapshot(), label))
+        } else {
+            None
+        };
+        // Pin *after* an inline observation (its publish is already
+        // visible) and *before* a queued one (the trainer's publish
+        // must not race the re-evaluation below).
+        if let (
+            Some((matrix, label)),
+            Outlet::Inline {
+                classifier,
+                publisher,
+            },
+        ) = (observation, &mut self.outlet)
+        {
+            publisher.observe(classifier, matrix, label);
+        }
+        let guard = self.reader.pin();
+        if let (Some((matrix, label)), Outlet::Queued(tx)) = (observation, &self.outlet) {
+            match tx.try_send(TrainerMsg::Observe { matrix, label }) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => self.metrics.obs_dropped.inc(),
                 // Training disabled or trainer shut down: the
@@ -824,11 +859,12 @@ impl GatewayShard {
             }
         }
 
-        // Region re-evaluation, mirroring the middlebox loop: one
-        // decision per matrix state; revoking a flow updates both the
-        // shared matrix and the local working copy before re-deciding.
-        // Revocations shed this shard's oldest admission first; kept
-        // flows are tallied in bulk, never materialised.
+        // Region re-evaluation: X_m for an ongoing flow is the current
+        // matrix (it already contains the flow), so one decision per
+        // matrix state; revoking a flow updates both the shared matrix
+        // and the local working copy before re-deciding. Revocations
+        // shed this shard's oldest admission first; kept flows are
+        // tallied in bulk, never materialised.
         if guard.phase() == Phase::Online {
             let mut matrix = self.shared.snapshot();
             let (mut label, mut margin) = guard.decide(&matrix);

@@ -33,7 +33,7 @@ use crate::sync::{AtomicPtr, AtomicU64, Mutex, Ordering};
 
 use exbox_ml::{Label, StandardScaler};
 
-use crate::admittance::{AdmittanceClassifier, Phase, ServingModel};
+use crate::admittance::{self, AdmittanceClassifier, Phase, ServingModel};
 use crate::matrix::TrafficMatrix;
 
 /// One immutable generation of learnt state, as published by the
@@ -90,6 +90,9 @@ pub struct ModelSnapshot {
     phase: Phase,
     scaler: Option<StandardScaler>,
     model: Option<ServingModel>,
+    /// The classifier's sample store when its monotonicity guard is
+    /// on (`None` otherwise), so served verdicts apply the same guard.
+    guard: Option<Vec<(TrafficMatrix, Label)>>,
     scaler_epoch: u64,
     model_epoch: u64,
 }
@@ -102,14 +105,16 @@ impl ModelSnapshot {
             phase: Phase::Bootstrap,
             scaler: None,
             model: None,
+            guard: None,
             scaler_epoch: 0,
             model_epoch: 0,
         }
     }
 
-    /// Export the classifier's current serving state as epoch `epoch`.
-    /// Called by the trainer once per publish (phase change or
-    /// successful retrain) — never on the packet path.
+    /// Export the classifier's current serving state as epoch `epoch`,
+    /// including its sample store when the monotonicity guard is on.
+    /// Called once per publish (phase change, successful retrain, or
+    /// a guard-visible store change) — never on the packet path.
     pub fn from_classifier(epoch: u64, classifier: &AdmittanceClassifier) -> Self {
         let (phase, pair) = classifier.serving_state();
         let (scaler, model) = match pair {
@@ -121,6 +126,7 @@ impl ModelSnapshot {
             phase,
             scaler,
             model,
+            guard: classifier.guard_samples().map(<[_]>::to_vec),
             scaler_epoch: epoch,
             model_epoch: epoch,
         }
@@ -139,6 +145,15 @@ impl ModelSnapshot {
     /// Whether a scaler/model pair is servable.
     pub fn model_available(&self) -> bool {
         self.scaler.is_some() && self.model.is_some()
+    }
+
+    /// The degraded-mode rule: admissions are served by the occupancy
+    /// fallback instead of the learnt region while no model is
+    /// servable and either the classifier already left bootstrap (it
+    /// lost or never regained its model) or the gateway is
+    /// `recovering` from a failed restore.
+    pub fn is_degraded(&self, recovering: bool) -> bool {
+        !self.model_available() && (recovering || self.phase == Phase::Online)
     }
 
     /// True when the epoch stamps on the scaler and model both match
@@ -163,19 +178,15 @@ impl ModelSnapshot {
         Some(model.decision_value(&scaled))
     }
 
-    /// Single-pass decision, mirroring the uncached
+    /// Single-pass decision with the uncached
     /// [`AdmittanceClassifier::decide`] semantics: admit everything in
-    /// bootstrap; online, the margin sign decides (admit when no model
+    /// bootstrap; online, the monotonicity guard (if the classifier
+    /// had it on) and then the margin sign decide (admit when no model
     /// exists — the degraded fallback gates that case upstream).
     pub fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
         let margin = self.decision_value(resulting);
-        let label = match self.phase {
-            Phase::Bootstrap => Label::Pos,
-            Phase::Online => match margin {
-                Some(v) => Label::from_signum(v),
-                None => Label::Pos,
-            },
-        };
+        let label =
+            admittance::decision_label(self.phase, self.guard.as_deref(), resulting, margin);
         (label, margin)
     }
 }

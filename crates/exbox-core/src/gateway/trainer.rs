@@ -8,7 +8,10 @@
 //! observation triggers a phase change or a successful retrain, the
 //! trainer exports the new serving state and publishes it as the next
 //! [`ModelSnapshot`](super::ModelSnapshot) — shards pick it up on
-//! their next pin, without ever blocking.
+//! their next pin, without ever blocking. That observe-and-publish
+//! step ([`Publisher`]) is the same one a
+//! [`Middlebox`](crate::middlebox::Middlebox)'s inline learner runs
+//! inside its poll.
 //!
 //! Backpressure is explicit: the channel is bounded and shards use a
 //! non-blocking send, dropping the observation (counted by
@@ -61,48 +64,114 @@ pub(crate) enum TrainerMsg {
     Shutdown,
 }
 
-/// The trainer thread's instrument handles, bound to the gateway's
-/// trainer registry before spawn.
+/// The trainer thread's own instrument handles, bound to the
+/// gateway's trainer registry before spawn.
 pub(crate) struct TrainerMetrics {
     /// `recovery.checkpoint_writes` — successful checkpoint files.
     pub(crate) checkpoint_writes: Arc<exbox_obs::Counter>,
-    /// `gateway.snapshot_staleness` — observations absorbed since the
-    /// last snapshot publish.
-    pub(crate) staleness: Arc<exbox_obs::Gauge>,
     /// `trainer.dropped_results` — observations still queued when the
     /// trainer shut down: learning the channel accepted but that never
     /// reached the store. Zero in a clean drain; non-zero makes an
     /// interrupted retrain visible instead of silently lost.
     pub(crate) dropped_results: Arc<exbox_obs::Counter>,
+}
+
+/// The observe-and-publish step shared by both learners: the
+/// background trainer (observations queued by the shards) and the
+/// inline learner of a single-threaded
+/// [`Middlebox`](crate::middlebox::Middlebox) (observations absorbed
+/// inside its poll). It owns the publication side of the snapshot
+/// cell: the epoch counter, the staleness gauge and the recovery
+/// flag.
+#[derive(Debug)]
+pub(crate) struct Publisher {
+    cell: Arc<SnapshotCell<ModelSnapshot>>,
+    recovering: Arc<AtomicBool>,
+    /// Epoch of the last published snapshot.
+    epoch: u64,
+    /// Observations absorbed since the last publish.
+    lag: u64,
+    /// `gateway.snapshot_staleness` — observations absorbed since the
+    /// last snapshot publish: grows by one per observation, snaps back
+    /// to zero on every publish — the operator-facing measure of how
+    /// far serving lags learning.
+    staleness: Arc<exbox_obs::Gauge>,
     /// `gateway.stamp_mismatch` — snapshots that failed
     /// [`ModelSnapshot::stamps_consistent`] at publish time. Always 0
     /// unless the export path is broken; checked here (debug-assert +
     /// counter), not just in tests.
-    pub(crate) stamp_mismatch: Arc<exbox_obs::Counter>,
+    stamp_mismatch: Arc<exbox_obs::Counter>,
     /// `gateway.snapshot_retired` — retired snapshots awaiting their
     /// grace period, sampled after each publish. Bounded by the number
     /// of concurrently pinned readers; growth means a reader leak.
-    pub(crate) snapshot_retired: Arc<exbox_obs::Gauge>,
+    snapshot_retired: Arc<exbox_obs::Gauge>,
 }
 
-/// Publish `snap`, enforcing the stamp invariant at the publish site
-/// and sampling the retired-list gauge right after reclamation ran.
-fn publish_checked(
-    cell: &SnapshotCell<ModelSnapshot>,
-    metrics: &TrainerMetrics,
-    snap: ModelSnapshot,
-) {
-    let consistent = snap.stamps_consistent();
-    debug_assert!(
-        consistent,
-        "publishing snapshot with mismatched stamps (epoch {})",
-        snap.epoch()
-    );
-    if !consistent {
-        metrics.stamp_mismatch.inc();
+impl Publisher {
+    /// Publisher for `cell`, continuing from the snapshot the cell
+    /// already holds (the constructor's epoch-0 export).
+    pub(crate) fn new(
+        cell: Arc<SnapshotCell<ModelSnapshot>>,
+        recovering: Arc<AtomicBool>,
+        registry: &exbox_obs::MetricsRegistry,
+    ) -> Self {
+        Publisher {
+            epoch: cell.publish_count(),
+            cell,
+            recovering,
+            lag: 0,
+            staleness: registry.gauge("gateway.snapshot_staleness"),
+            stamp_mismatch: registry.counter("gateway.stamp_mismatch"),
+            snapshot_retired: registry.gauge("gateway.snapshot_retired"),
+        }
     }
-    cell.publish(snap);
-    metrics.snapshot_retired.set(cell.retired_len() as f64);
+
+    /// Absorb one `(X_m, Y)` observation into `classifier` and publish
+    /// its serving state as the next epoch when it changed. Phase
+    /// transitions and *successful* retrains change it; a failed
+    /// retrain (injected or real) does not, so the old snapshot keeps
+    /// serving and no epoch is burned. With the monotonicity guard on,
+    /// any change to the sample store changes it too (the snapshot
+    /// carries the store). A publish with a servable model clears the
+    /// recovery flag.
+    pub(crate) fn observe(
+        &mut self,
+        classifier: &mut AdmittanceClassifier,
+        matrix: TrafficMatrix,
+        label: Label,
+    ) {
+        let before = (classifier.phase(), classifier.retrain_count());
+        let guard_changes = classifier.observation_changes_guard(&matrix, label);
+        classifier.observe(matrix, label);
+        if guard_changes || (classifier.phase(), classifier.retrain_count()) != before {
+            self.epoch += 1;
+            self.publish(ModelSnapshot::from_classifier(self.epoch, classifier));
+            if classifier.model_available() {
+                self.recovering.store(false, Ordering::SeqCst);
+            }
+            self.lag = 0;
+        } else {
+            self.lag += 1;
+        }
+        self.staleness.set(self.lag as f64);
+    }
+
+    /// Publish `snap`, enforcing the stamp invariant at the publish
+    /// site and sampling the retired-list gauge right after
+    /// reclamation ran.
+    fn publish(&self, snap: ModelSnapshot) {
+        let consistent = snap.stamps_consistent();
+        debug_assert!(
+            consistent,
+            "publishing snapshot with mismatched stamps (epoch {})",
+            snap.epoch()
+        );
+        if !consistent {
+            self.stamp_mismatch.inc();
+        }
+        self.cell.publish(snap);
+        self.snapshot_retired.set(self.cell.retired_len() as f64);
+    }
 }
 
 /// Handle to the running trainer thread.
@@ -118,21 +187,20 @@ impl std::fmt::Debug for TrainerHandle {
 }
 
 impl TrainerHandle {
-    /// Spawn the trainer thread. `classifier` seeds the publication
-    /// epoch: if it is already trained, its state is what the initial
-    /// snapshot in `cell` was built from.
+    /// Spawn the trainer thread. If `classifier` is already trained,
+    /// its state is what the initial snapshot in the publisher's cell
+    /// was built from.
     pub(crate) fn spawn(
         classifier: AdmittanceClassifier,
         estimator: QoeEstimator,
-        cell: Arc<SnapshotCell<ModelSnapshot>>,
-        recovering: Arc<AtomicBool>,
+        publisher: Publisher,
         metrics: TrainerMetrics,
         rx: BoundedReceiver<TrainerMsg>,
         tx: BoundedSender<TrainerMsg>,
     ) -> Self {
         let join = thread::Builder::new()
             .name("exbox-trainer".into())
-            .spawn(move || run_trainer(classifier, estimator, cell, recovering, metrics, rx))
+            .spawn(move || run_trainer(classifier, estimator, publisher, metrics, rx))
             .expect("failed to spawn trainer thread");
         TrainerHandle {
             tx,
@@ -167,43 +235,14 @@ impl Drop for TrainerHandle {
 fn run_trainer(
     mut classifier: AdmittanceClassifier,
     estimator: QoeEstimator,
-    cell: Arc<SnapshotCell<ModelSnapshot>>,
-    recovering: Arc<AtomicBool>,
+    mut publisher: Publisher,
     metrics: TrainerMetrics,
     rx: BoundedReceiver<TrainerMsg>,
 ) -> AdmittanceClassifier {
-    // The initial snapshot was published by the gateway constructor at
-    // this epoch; later publishes continue from it.
-    let mut epoch = cell.publish_count();
-    // `gateway.snapshot_staleness`: observations absorbed into the
-    // store but not yet reflected in the served snapshot. Grows by one
-    // per observation, snaps back to zero on every publish — the
-    // operator-facing measure of how far serving lags learning.
-    let mut lag: u64 = 0;
     while let Ok(msg) = rx.recv() {
         match msg {
             TrainerMsg::Observe { matrix, label } => {
-                // Serving-state fingerprint: phase transitions and
-                // *successful* retrains advance it; a failed retrain
-                // (injected or real) leaves it unchanged, so the old
-                // snapshot keeps serving and no epoch is burned.
-                let before = (classifier.phase(), classifier.retrain_count());
-                classifier.observe(matrix, label);
-                if (classifier.phase(), classifier.retrain_count()) != before {
-                    epoch += 1;
-                    publish_checked(
-                        &cell,
-                        &metrics,
-                        ModelSnapshot::from_classifier(epoch, &classifier),
-                    );
-                    if classifier.model_available() {
-                        recovering.store(false, Ordering::SeqCst);
-                    }
-                    lag = 0;
-                } else {
-                    lag += 1;
-                }
-                metrics.staleness.set(lag as f64);
+                publisher.observe(&mut classifier, matrix, label);
             }
             TrainerMsg::Checkpoint { path, ack } => {
                 let result = persist::save_checkpoint_to_path(&classifier, &estimator, &path);

@@ -22,7 +22,8 @@
 //!   multiple cells (paper §4.1).
 //! * [`middlebox`] — the packet-facing assembly: early
 //!   classification → admission → QoS metering → periodic
-//!   re-evaluation (paper Fig. 5, §4.3).
+//!   re-evaluation (paper Fig. 5, §4.3), as one gateway shard with an
+//!   inline learner.
 //! * [`apps`] — app-based admission control (the paper's §4.5 future
 //!   work): subsidiary flows ride their app's dominant-flow decision.
 //! * [`excr`] — extract the learnt region as Fig.-2-style slices,

@@ -201,6 +201,93 @@ fn one_shard_gateway_matches_middlebox() {
     assert_eq!(mb.matrix(), gw.matrix());
 }
 
+fn mix(web: u32, streaming: u32, conferencing: u32) -> TrafficMatrix {
+    let mut m = TrafficMatrix::empty();
+    for (class, n) in [
+        (AppClass::Web, web),
+        (AppClass::Streaming, streaming),
+        (AppClass::Conferencing, conferencing),
+    ] {
+        for _ in 0..n {
+            m.add(FlowKind::new(class, SnrLevel::High));
+        }
+    }
+    m
+}
+
+/// The gateway serves the monotonicity guard exactly like the
+/// classifier: a 1-shard gateway whose trainer learns with
+/// `monotone_guard` on returns the same `(label, margin)` as
+/// `AdmittanceClassifier::decide` after every step of a noisy
+/// observation trace — including steps that change only the sample
+/// store the guard reads, with no retrain.
+#[test]
+fn guarded_gateway_matches_classifier_decisions() {
+    let guarded = |reg: &MetricsRegistry| {
+        let mut ac = AdmittanceClassifier::with_registry(
+            AdmittanceConfig {
+                monotone_guard: true,
+                ..acfg()
+            },
+            reg,
+        );
+        for n in 0..80u32 {
+            let total = n % 8;
+            let y = if total <= 2 { Label::Pos } else { Label::Neg };
+            ac.observe(mix(0, total, 0), y);
+        }
+        assert_eq!(ac.phase(), Phase::Online, "fixture must go online");
+        ac
+    };
+    let reg = MetricsRegistry::new();
+    let mut reference = guarded(&reg);
+    let gw = ConcurrentGateway::with_fault_plan(
+        GatewayConfig::default(),
+        estimator(),
+        guarded(&reg),
+        FaultPlan::disabled(),
+    );
+    let mut reader = gw.snapshot_reader();
+    let trace = [
+        (mix(0, 1, 0), Label::Neg),
+        (mix(2, 0, 0), Label::Pos),
+        (mix(0, 1, 0), Label::Pos),
+        (mix(1, 2, 0), Label::Neg),
+        (mix(2, 0, 0), Label::Pos),
+        (mix(0, 3, 0), Label::Pos),
+        (mix(1, 1, 1), Label::Neg),
+        (mix(0, 2, 0), Label::Neg),
+        (mix(3, 0, 1), Label::Pos),
+        (mix(0, 0, 2), Label::Neg),
+    ];
+    let queries: Vec<TrafficMatrix> = (0..=3)
+        .flat_map(|w| (0..=4).flat_map(move |s| (0..=2).map(move |c| mix(w, s, c))))
+        .collect();
+    let mut overridden = 0;
+    for (step, &(matrix, label)) in trace.iter().enumerate() {
+        reference.observe(matrix, label);
+        assert!(gw.inject_observation(matrix, label));
+        assert!(gw.flush_trainer());
+        let snap = reader.pin();
+        for q in &queries {
+            let (want_label, want_margin) = reference.decide(q);
+            let (got_label, got_margin) = snap.decide(q);
+            assert_eq!(
+                (got_label, got_margin.map(f64::to_bits)),
+                (want_label, want_margin.map(f64::to_bits)),
+                "step {step}: gateway and classifier disagree on {q:?}"
+            );
+            if want_margin.is_some_and(|m| Label::from_signum(m) != want_label) {
+                overridden += 1;
+            }
+        }
+    }
+    assert!(
+        overridden > 0,
+        "the trace must make the guard override the model"
+    );
+}
+
 /// Satellite 2: shards driven from four real threads, counters
 /// incremented contention-free on per-shard registries; the merged
 /// export equals the sum of per-thread ground-truth verdict counts
