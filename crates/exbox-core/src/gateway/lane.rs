@@ -3,13 +3,18 @@
 //! A [`Lane`] is one OS thread, spawned once and then reused for every
 //! packet phase. Between phases it holds nothing and blocks on a
 //! [`Condvar`] — it never spins. Work moves through a one-slot handoff
-//! guarded by a [`Mutex`]:
+//! guarded by a [`Mutex`]; an atomic *phase tag* mirrors the slot's
+//! state so the owner can watch it without the lock:
 //!
 //! ```text
 //!            hand(job)              lane picks up         lane returns
 //!  Parked ─────────────▶ Start(job) ─────────────▶ Running ──────────┬─▶ Done(out)
 //!    ▲                                                               └─▶ Failed(msg)
-//!    └──────────────────────── collect() ◀──────────────────────────────────┘
+//!    │                                                                       │
+//!    └── collect(): spin on the tag ≤ COLLECT_SPIN ──┬─ tag ended ─────────┤
+//!                                                    └─ spin ran out: block ─┘
+//!                                                       on the condvar
+//!                                                       (pipeline.collect_blocks)
 //!
 //!  drop: wait until neither Start nor Running, then Stop ─▶ thread exits, joined
 //! ```
@@ -19,22 +24,43 @@
 //! - The thread runs the job under `catch_unwind`. A panic becomes
 //!   `Failed(message)` (readable mid-phase through [`Lane::failure`])
 //!   and bumps the failure counter; the job's own destructors, which
-//!   run during the unwind, do the work-specific clean-up.
-//! - [`Lane::collect`] blocks until the phase ended and parks the lane
-//!   again, returning the job's output or the panic message.
+//!   run during the unwind, do the work-specific clean-up. After
+//!   storing the outcome the thread blocks until the next job: only
+//!   the owner ever spins, and only inside `collect`.
+//! - [`Lane::collect`] parks the lane again and returns the job's
+//!   output or the panic message. A phase usually ends a few µs after
+//!   the owner asks, sooner than a futex sleep and wake-up take, so
+//!   `collect` first spins on the phase tag for at most
+//!   `COLLECT_SPIN` and only then blocks on the condvar. The tag is a
+//!   hint: it is written under the lock together with the state, and
+//!   the state is always taken under the lock, so a stale tag costs
+//!   time, never correctness.
 //! - Dropping a lane waits for any phase in progress to end (the owner
 //!   must first make the job finish, e.g. by closing its input), then
 //!   asks the thread to exit and joins it.
 //!
 //! Every primitive comes from [`crate::sync`], so the protocol is
-//! model-checked under `--cfg exbox_loom` (`loom_models.rs`).
+//! model-checked under `--cfg exbox_loom` (`loom_models.rs`); there the
+//! spin is a fixed number of tag loads, so the models explore both the
+//! spin and the blocking path of `collect`.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError};
 
 use exbox_obs::Counter;
 
-use crate::sync::{thread, Condvar, Mutex};
+use crate::sync::{thread, AtomicU32, Condvar, Mutex, Ordering};
+
+/// How long [`Lane::collect`] spins on the phase tag before it blocks.
+/// About what the futex sleep and wake-up it avoids would cost, so a
+/// spin that runs out wastes at most that much again.
+#[cfg(not(exbox_loom))]
+const COLLECT_SPIN: std::time::Duration = std::time::Duration::from_micros(20);
+
+/// Under the model checker the spin is this many tag loads: few enough
+/// that schedules where it runs out, and `collect` blocks, are explored.
+#[cfg(exbox_loom)]
+const COLLECT_SPIN_LOADS: usize = 2;
 
 enum State<J, R> {
     /// Between phases: no job, the thread blocks on `wake`.
@@ -51,55 +77,117 @@ enum State<J, R> {
     Stop,
 }
 
+/// Phase-tag values, one per [`State`] variant.
+const PARKED: u32 = 0;
+const START: u32 = 1;
+const RUNNING: u32 = 2;
+const DONE: u32 = 3;
+const FAILED: u32 = 4;
+const STOP: u32 = 5;
+
 impl<J, R> State<J, R> {
     fn in_phase(&self) -> bool {
-        matches!(self, State::Start(_) | State::Running)
+        in_phase(self.tag())
     }
+
+    fn tag(&self) -> u32 {
+        match self {
+            State::Parked => PARKED,
+            State::Start(_) => START,
+            State::Running => RUNNING,
+            State::Done(_) => DONE,
+            State::Failed(_) => FAILED,
+            State::Stop => STOP,
+        }
+    }
+}
+
+fn in_phase(tag: u32) -> bool {
+    tag == START || tag == RUNNING
 }
 
 struct Slot<J, R> {
     state: Mutex<State<J, R>>,
+    /// Mirrors `state`'s variant; written only under the `state` lock.
+    tag: AtomicU32,
     wake: Condvar,
 }
 
 impl<J, R> Slot<J, R> {
+    /// Replace the state under its lock, keeping the tag in step.
+    fn swap(&self, st: &mut State<J, R>, next: State<J, R>) -> State<J, R> {
+        self.tag.store(next.tag(), Ordering::SeqCst);
+        std::mem::replace(st, next)
+    }
+
     /// Set the state and wake every waiter (the lane or its owner).
     fn set(&self, next: State<J, R>) {
-        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = next;
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.swap(&mut st, next);
+        drop(st);
         self.wake.notify_all();
     }
 
-    /// Block on `wake` while `busy` holds, then edit the state under
-    /// the lock.
-    fn when<T>(
-        &self,
-        busy: impl FnMut(&mut State<J, R>) -> bool,
-        then: impl FnOnce(&mut State<J, R>) -> T,
-    ) -> T {
+    /// Block on `wake` while `busy` holds, then swap in `next` under
+    /// the lock, returning the state it replaced.
+    fn when(&self, busy: impl FnMut(&mut State<J, R>) -> bool, next: State<J, R>) -> State<J, R> {
         let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut st = self
             .wake
             .wait_while(st, busy)
             .unwrap_or_else(PoisonError::into_inner);
-        then(&mut st)
+        self.swap(&mut st, next)
     }
 
     /// Lane side: block until handed a job (`Some`) or told to stop.
     fn next_job(&self) -> Option<J> {
-        self.when(
+        match self.when(
             |s| !matches!(s, State::Start(_) | State::Stop),
-            |s| match std::mem::replace(s, State::Running) {
-                State::Start(job) => Some(job),
-                _ => None,
-            },
-        )
+            State::Running,
+        ) {
+            State::Start(job) => Some(job),
+            _ => None,
+        }
     }
+
+    /// Owner side: spin while the tag says a phase is in progress, for
+    /// at most `COLLECT_SPIN`. True when the phase ended in time.
+    #[cfg(not(exbox_loom))]
+    fn spin_until_ended(&self) -> bool {
+        let begin = std::time::Instant::now();
+        loop {
+            if !in_phase(self.tag.load(Ordering::SeqCst)) {
+                return true;
+            }
+            if begin.elapsed() >= COLLECT_SPIN {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    #[cfg(exbox_loom)]
+    fn spin_until_ended(&self) -> bool {
+        (0..COLLECT_SPIN_LOADS).any(|_| !in_phase(self.tag.load(Ordering::SeqCst)))
+    }
+}
+
+/// Counters a lane bumps; bound once, when the lane is spawned.
+#[derive(Clone, Default)]
+pub(crate) struct LaneCounters {
+    /// Jobs that panicked.
+    pub failures: Arc<Counter>,
+    /// Threads that left, bumped just before the join can return.
+    pub exits: Arc<Counter>,
+    /// `collect` calls whose spin ran out and blocked on the condvar.
+    pub collect_blocks: Arc<Counter>,
 }
 
 /// One persistent worker thread running jobs of type `J` to outputs of
 /// type `R`, parked between jobs. See the module docs for the protocol.
 pub(crate) struct Lane<J, R> {
     slot: Arc<Slot<J, R>>,
+    collect_blocks: Arc<Counter>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -111,19 +199,22 @@ impl<J, R> std::fmt::Debug for Lane<J, R> {
 
 impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
     /// Spawn the thread; it parks until the first [`hand`](Self::hand).
-    /// `failures` is bumped once per panicking job; `exits` once when
-    /// the thread leaves, just before the join can return.
     pub(crate) fn spawn(
         name: String,
-        failures: Arc<Counter>,
-        exits: Arc<Counter>,
+        counters: LaneCounters,
         mut work: impl FnMut(J) -> R + Send + 'static,
     ) -> Self {
         let slot = Arc::new(Slot {
             state: Mutex::new(State::Parked),
+            tag: AtomicU32::new(PARKED),
             wake: Condvar::new(),
         });
         let lane_slot = Arc::clone(&slot);
+        let LaneCounters {
+            failures,
+            exits,
+            collect_blocks,
+        } = counters;
         let thread = thread::Builder::new()
             .name(name)
             .spawn(move || {
@@ -142,6 +233,7 @@ impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
             .expect("spawn pipeline lane");
         Lane {
             slot,
+            collect_blocks,
             thread: Some(thread),
         }
     }
@@ -151,13 +243,14 @@ impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
         self.slot.set(State::Start(job));
     }
 
-    /// Block until the current job ended, park the lane again and
-    /// return the job's output, or its panic message.
+    /// Wait until the current job ended — spinning on the phase tag
+    /// first, then blocking — park the lane again and return the job's
+    /// output, or its panic message.
     pub(crate) fn collect(&self) -> Result<R, String> {
-        let result = self
-            .slot
-            .when(|s| s.in_phase(), |s| std::mem::replace(s, State::Parked));
-        match result {
+        if !self.slot.spin_until_ended() {
+            self.collect_blocks.inc();
+        }
+        match self.slot.when(|s| s.in_phase(), State::Parked) {
             State::Done(out) => Ok(out),
             State::Failed(msg) => Err(msg),
             _ => panic!("collect on a lane that was never handed a job"),
@@ -165,9 +258,12 @@ impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
     }
 
     /// The panic message of the current job, if it panicked and was
-    /// not yet collected. Takes the slot's lock: for callers that are
-    /// already waiting on the job's output by other means.
+    /// not yet collected. Lock-free unless it did: for callers that
+    /// are already waiting on the job's output by other means.
     pub(crate) fn failure(&self) -> Option<String> {
+        if self.slot.tag.load(Ordering::SeqCst) != FAILED {
+            return None;
+        }
         match &*self
             .slot
             .state
@@ -188,10 +284,8 @@ impl<J, R> Drop for Lane<J, R> {
         // A thread that already left can never end its phase; that only
         // happens when a model checker aborts the execution. Any output
         // nobody collected is discarded with the state.
-        self.slot.when(
-            |s| s.in_phase() && !thread.is_finished(),
-            |s| *s = State::Stop,
-        );
+        self.slot
+            .when(|s| s.in_phase() && !thread.is_finished(), State::Stop);
         self.slot.wake.notify_all();
         let _ = thread.join();
     }

@@ -14,7 +14,9 @@
 //! lets a worker exit without stranding packets; and the pipeline
 //! lanes' parked handoff: start → finish → start with no lost or
 //! duplicated shard, teardown of parked lanes, a handle dropped
-//! mid-phase, and a panicking phase contained and reported.
+//! mid-phase, a panicking phase contained and reported, an ingress
+//! ring re-armed across two phases, and `collect`'s spin-then-block
+//! wait.
 //!
 //! Bounds: every model runs under the explorer's default preemption
 //! bound of 2 (documented in `DESIGN.md` §9) unless it passes an
@@ -33,7 +35,7 @@ use exbox_obs::Counter;
 use crate::matrix::{FlowKind, SnrLevel};
 
 use super::channel;
-use super::lane::Lane;
+use super::lane::{Lane, LaneCounters};
 use super::shard::SharedMatrix;
 use super::snapshot::SnapshotCell;
 use super::spsc;
@@ -447,15 +449,14 @@ impl Drop for Token {
 /// A lane whose phase hands its token straight back, counting runs.
 fn echo_lane(runs: &Arc<Counter>, exits: &Arc<Counter>) -> Lane<Token, Token> {
     let runs = Arc::clone(runs);
-    Lane::spawn(
-        "lane".into(),
-        Arc::new(Counter::new()),
-        Arc::clone(exits),
-        move |t: Token| {
-            runs.inc();
-            t
-        },
-    )
+    let counters = LaneCounters {
+        exits: Arc::clone(exits),
+        ..LaneCounters::default()
+    };
+    Lane::spawn("lane".into(), counters, move |t: Token| {
+        runs.inc();
+        t
+    })
 }
 
 /// The lane handoff across two packet phases: every interleaving of
@@ -523,10 +524,13 @@ fn lane_dropped_mid_phase_ends_the_phase_and_joins() {
         let seen = Arc::new(Counter::new());
         let lane = {
             let seen = Arc::clone(&seen);
+            let counters = LaneCounters {
+                exits: Arc::clone(&exits),
+                ..LaneCounters::default()
+            };
             Lane::spawn(
                 "lane".into(),
-                Arc::new(Counter::new()),
-                Arc::clone(&exits),
+                counters,
                 move |rx: channel::BoundedReceiver<u32>| {
                     while rx.recv().is_ok() {
                         seen.inc();
@@ -562,17 +566,17 @@ fn lane_panic_is_contained_and_reported() {
             Arc::new(Counter::new()),
             Arc::new(Counter::new()),
         );
-        let lane = Lane::spawn(
-            "lane".into(),
-            Arc::clone(&failures),
-            Arc::clone(&exits),
-            |t: Token| {
-                if t.id == 0 {
-                    panic!("injected lane fault");
-                }
-                t
-            },
-        );
+        let counters = LaneCounters {
+            failures: Arc::clone(&failures),
+            exits: Arc::clone(&exits),
+            ..LaneCounters::default()
+        };
+        let lane = Lane::spawn("lane".into(), counters, |t: Token| {
+            if t.id == 0 {
+                panic!("injected lane fault");
+            }
+            t
+        });
         lane.hand(Token {
             id: 0,
             drops: Arc::clone(&drops),
@@ -590,4 +594,105 @@ fn lane_panic_is_contained_and_reported() {
         drop(lane);
         assert_eq!(exits.get(), 1);
     });
+}
+
+/// One phase of the re-arm model: the lane's ingress-ring consumer and
+/// the values that round's producer will push.
+type RearmJob = (spsc::Consumer<u64>, [u64; 2]);
+
+/// What the phase hands back: the consumer, what it drained, and
+/// whether it saw the pipeline's exit condition (closed, then empty).
+type RearmOut = (spsc::Consumer<u64>, Vec<u64>, bool);
+
+/// A lane's ingress ring re-armed across two packet phases, as
+/// `PipelineHandle::{start, finish}` do it: reopen → hand → push →
+/// close → collect, twice, on a 2-slot ring so the second round reuses
+/// both slots. The phase polls the ring with the worker loop's exit
+/// rule (closed *before* an empty drain) a bounded number of times —
+/// an unbounded poll is a spin the explorer cannot bound — and then the
+/// owner drains what is left. On every schedule:
+/// - a phase that exited holds exactly its own round's values: the
+///   previous round's hang-up never ends the next phase early, and no
+///   value of the previous round leaks into it;
+/// - nothing is lost or duplicated across the two rounds.
+#[test]
+fn lane_ring_rearmed_across_two_phases() {
+    model(|| {
+        let (mut tx, rx) = spsc::ring::<u64>(2);
+        let lane = Lane::spawn(
+            "lane".into(),
+            LaneCounters::default(),
+            |(mut rx, _): RearmJob| -> RearmOut {
+                let mut got = Vec::new();
+                for _ in 0..2 {
+                    let closed = rx.is_closed();
+                    if rx.drain_into(&mut got, 2) == 0 && closed {
+                        return (rx, got, true);
+                    }
+                }
+                (rx, got, false)
+            },
+        );
+        let mut rx = Some(rx);
+        let mut phases = Vec::new();
+        for round in [[1u64, 2], [3, 4]] {
+            tx.reopen();
+            lane.hand((rx.take().expect("consumer back from the lane"), round));
+            for v in round {
+                tx.push(v).expect("a drained 2-slot ring has room for 2");
+            }
+            tx.close();
+            let (mut back, got, exited) = lane.collect().expect("phase cannot fail");
+            let mut all = got.clone();
+            back.drain_into(&mut all, 2);
+            phases.push((round, exited.then_some(got), all, back.is_closed()));
+            rx = Some(back);
+        }
+        // Checked after the lane is joined, so a violation reports
+        // itself instead of unwinding past a parked lane.
+        drop(lane);
+        for (round, at_exit, all, closed) in phases {
+            if let Some(got) = at_exit {
+                assert_eq!(got, round, "phase ended before its round was drained");
+            }
+            assert_eq!(all, round, "loss, duplication or a stale value");
+            assert!(closed);
+        }
+    });
+}
+
+/// `Lane::collect`'s spin-then-block path. Under the model checker the
+/// spin is a fixed number of phase-tag loads, so some schedules see the
+/// phase end while spinning and others run the spin out and block on
+/// the condvar (`collect_blocks`). On every schedule `collect` returns
+/// each phase's own output exactly once, blocks at most once per call,
+/// and leaves the lane parked for the next hand; the exploration as a
+/// whole must cover both paths.
+#[test]
+fn lane_collect_spins_then_blocks() {
+    static SPUN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    static BLOCKED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    model(|| {
+        let counters = LaneCounters::default();
+        let blocks = Arc::clone(&counters.collect_blocks);
+        let lane = Lane::spawn("lane".into(), counters, |v: u32| v + 100);
+        for v in [1u32, 2] {
+            let before = blocks.get();
+            lane.hand(v);
+            assert_eq!(lane.collect(), Ok(v + 100), "another phase's output");
+            let blocked = blocks.get() - before;
+            assert!(blocked <= 1, "one collect blocked {blocked} times");
+            let seen = if blocked == 1 { &BLOCKED } else { &SPUN };
+            seen.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+        assert!(lane.failure().is_none());
+    });
+    assert!(
+        SPUN.load(std::sync::atomic::Ordering::SeqCst),
+        "no schedule ended a phase within the spin"
+    );
+    assert!(
+        BLOCKED.load(std::sync::atomic::Ordering::SeqCst),
+        "no schedule ran the spin out and blocked"
+    );
 }

@@ -45,8 +45,9 @@
 //!   lock-free SPSC ingress rings fed by a flow-hashing dispatcher,
 //!   verdicts merged back into one globally-ordered stream that is
 //!   byte-identical to sequential driving (see [`pipeline`]). The
-//!   worker threads (lanes) are spawned once per gateway and parked
-//!   between packet phases.
+//!   worker threads (lanes) and their rings, gate and merge buffers
+//!   are built once per gateway; lanes park between packet phases and
+//!   the rest is re-armed per phase.
 //!
 //! Shard count comes from [`GatewayConfig::shards`] or the
 //! `EXBOX_SHARDS` environment knob ([`GatewayConfig::from_env`]). A
@@ -208,9 +209,10 @@ pub struct ConcurrentGateway {
     recovering: Arc<AtomicBool>,
     obs_tx: channel::BoundedSender<TrainerMsg>,
     trainer: Option<TrainerHandle>,
-    /// Parked pipeline lanes, one per shard (shard order). Empty until
-    /// the first `start_pipeline`, and while a pipeline has them.
-    lanes: Vec<pipeline::PipeLane>,
+    /// The pipeline — parked lanes, rings, gate, merge buffers — built
+    /// by the first `start_pipeline` and re-armed by every later one.
+    /// `None` before that, after `shutdown`, and while a handle is out.
+    pipeline: Option<PipelineHandle>,
     /// Lane armed by [`inject_lane_panic`](Self::inject_lane_panic)
     /// for the next packet phase.
     inject_panic: Option<usize>,
@@ -381,7 +383,7 @@ impl ConcurrentGateway {
             recovering,
             obs_tx,
             trainer,
-            lanes: Vec::new(),
+            pipeline: None,
             inject_panic: None,
             route_scratch: Vec::new(),
         }
@@ -419,8 +421,9 @@ impl ConcurrentGateway {
     /// by flow hash, [`drain_verdicts`](PipelineHandle::drain_verdicts)
     /// returns the globally-ordered verdict stream (byte-identical to
     /// sequential driving, DESIGN.md §10). The first start spawns one
-    /// lane per shard (`pipeline.lane_spawns`); later starts wake the
-    /// lanes parked by the previous
+    /// lane per shard (`pipeline.lane_spawns`) and builds the rings,
+    /// gate and merge buffers; later starts re-arm those parts, without
+    /// allocating, and wake the lanes parked by the previous
     /// [`finish_pipeline`](Self::finish_pipeline). The sequential
     /// drivers panic while the pipeline runs; retire it with
     /// `finish_pipeline` to get them back.
@@ -429,37 +432,33 @@ impl ConcurrentGateway {
             !self.shards.is_empty(),
             "gateway shards were taken; return them before starting a pipeline"
         );
-        let shards = self.take_shards();
-        if self.lanes.is_empty() {
-            self.lanes =
-                pipeline::spawn_lanes(shards.len(), self.cfg.batch, &self.pipeline_registry);
-        }
-        PipelineHandle::start(pipeline::PipelineSpec {
-            shards,
-            lanes: std::mem::take(&mut self.lanes),
-            batch: self.cfg.batch,
-            registry: &self.pipeline_registry,
-            inject_panic: self.inject_panic.take(),
-        })
+        let mut pipe = match self.pipeline.take() {
+            Some(pipe) => pipe,
+            None => PipelineHandle::new(self.shards.len(), self.cfg.batch, &self.pipeline_registry),
+        };
+        pipe.start(&mut self.shards, self.inject_panic.take());
+        pipe
     }
 
     /// Drain and retire a pipeline started by
     /// [`start_pipeline`](Self::start_pipeline): blocks until every
     /// in-flight packet's verdict is merged, closes the ingress rings,
-    /// takes every shard back from its lane and parks the lanes on the
-    /// gateway until the next start (they block, they do not spin).
-    /// The shards return for sequential driving, and the tail of the
-    /// ordered verdict stream is returned.
+    /// takes every shard back from its lane and keeps the handle —
+    /// parked lanes, rings, gate, buffers — on the gateway until the
+    /// next start (the lanes block, they do not spin). Collecting a
+    /// shard spins briefly on the lane's phase tag before it blocks
+    /// (`pipeline.collect_blocks` counts the blocks). The shards return
+    /// for sequential driving, and the tail of the ordered verdict
+    /// stream is returned.
     ///
     /// # Panics
     ///
     /// If a lane panicked during the phase, with a message naming the
     /// lane. That lane's shard state is lost and the gateway has no
     /// shards left to drive; the lanes are stopped and joined.
-    pub fn finish_pipeline(&mut self, handle: PipelineHandle) -> Vec<Action> {
-        let (shards, lanes, tail) = handle.finish();
-        self.shards = shards;
-        self.lanes = lanes;
+    pub fn finish_pipeline(&mut self, mut handle: PipelineHandle) -> Vec<Action> {
+        let tail = handle.finish(&mut self.shards);
+        self.pipeline = Some(handle);
         tail
     }
 
@@ -703,8 +702,8 @@ impl ConcurrentGateway {
     pub fn shutdown(&mut self) -> Option<AdmittanceClassifier> {
         // Parked lanes hold no shard, so nothing they own can still
         // reach the trainer; lanes lent to a live handle are joined
-        // when that handle is finished or dropped.
-        self.lanes.clear();
+        // when that handle is dropped.
+        self.pipeline = None;
         self.trainer.take().map(TrainerHandle::shutdown)
     }
 }

@@ -72,15 +72,32 @@
 //! Each shard has one lane: a persistent worker thread (`lane.rs`),
 //! spawned lazily by the gateway's first `start_pipeline`
 //! (`pipeline.lane_spawns`) and joined only when the gateway shuts
-//! down. A packet phase hands every lane its shard, fresh ring ends
-//! and the phase's `OrderGate` through the lane's handoff slot;
-//! `finish` closes the rings, takes the shards back and returns the
-//! lanes to the gateway, where they block on a condition variable
-//! until the next start. Between phases no thread spins.
+//! down. Everything else a phase needs is built with the lanes, once,
+//! and kept in the [`PipelineHandle`] that the gateway lends out per
+//! phase: each lane's ingress and verdict rings, the `OrderGate`, the
+//! reorder ring, the merge and ready buffers, the batch scratch and
+//! the metric handles. A lane owns the consumer end of its ingress
+//! ring and the producer end of its verdict ring for life.
 //!
-//! A lane that panics mid-phase retires its gate cursor and closes its
-//! verdict ring during the unwind (so no other lane waits on it), bumps
-//! `pipeline.worker_failures` and records the panic message. Its
+//! - `start` *re-arms* the parts and hands every lane its shard: it
+//!   resets the gate cursors, the watermark and the reorder ring to
+//!   sequence 0 and reopens each ingress ring. Both ends of every ring
+//!   are quiescent then — the lanes are parked, every ring was drained
+//!   and every verdict merged — and the lane's lock handoff orders the
+//!   reset before the lane's first read. Ring cursors carry on across
+//!   phases, so reuse is ordinary wraparound. A start allocates
+//!   nothing; its cost is the futex wake of each parked lane.
+//! - `finish` closes the ingress rings and collects each shard. The
+//!   lane ends its phase a few µs after the close, sooner than a futex
+//!   sleep and wake-up take, so the collect spins on the lane's phase
+//!   tag first and blocks on the condition variable only when the spin
+//!   runs out (`pipeline.collect_blocks`). The spin is one-sided: only
+//!   the dispatcher spins, inside `finish`; between phases a lane
+//!   blocks and no thread spins.
+//!
+//! A lane that panics mid-phase retires its gate cursor and publishes
+//! its verdict ring during the unwind (so no other lane waits on it),
+//! bumps `pipeline.worker_failures` and records the panic message. Its
 //! shard is lost; [`PipelineHandle::flush`] and every blocking wait of
 //! the dispatcher then panic with a message naming the lane instead
 //! of spinning forever.
@@ -95,7 +112,7 @@ use crate::matrix::SnrLevel;
 use crate::middlebox::Action;
 use crate::sync::{thread, AtomicU64, Ordering};
 
-use super::lane::Lane;
+use super::lane::{Lane, LaneCounters};
 use super::shard::GatewayShard;
 use super::spsc;
 
@@ -125,6 +142,16 @@ impl OrderGate {
             published: CachePadded::new(AtomicU64::new(0)),
             gate_waits,
         }
+    }
+
+    /// Reset every cursor and the watermark for a new packet phase.
+    /// Every lane is parked, so nothing reads the gate meanwhile; the
+    /// lane handoff orders these stores before the lanes' next reads.
+    fn rearm(&self) {
+        for p in self.progress.iter() {
+            p.store(0, Ordering::SeqCst);
+        }
+        self.published.store(0, Ordering::SeqCst);
     }
 
     /// Lane `lane` starts processing sequence `seq`; everything it
@@ -215,6 +242,12 @@ impl Reorder {
         *slot = Some(act);
     }
 
+    /// Restart at sequence 0. Only after a flush: every slot below
+    /// `base` was emitted, so the ring is empty.
+    fn rearm(&mut self) {
+        self.base = 0;
+    }
+
     /// Append the contiguous ready prefix to `out`.
     fn emit_into(&mut self, out: &mut Vec<Action>) -> usize {
         let before = self.base;
@@ -238,53 +271,28 @@ struct PipelineMetrics {
 }
 
 /// A pipeline lane: takes a [`Phase`], gives its shard back.
-pub(super) type PipeLane = Lane<Phase, GatewayShard>;
+type PipeLane = Lane<Phase, GatewayShard>;
 
-/// Everything one lane needs for one packet phase.
-pub(super) struct Phase {
+/// What one lane is handed for one packet phase.
+struct Phase {
     shard: GatewayShard,
-    rx: spsc::Consumer<IngressSlot>,
-    vtx: spsc::Producer<(u64, Action)>,
-    gate: Arc<OrderGate>,
     /// Fault hook: panic as the phase starts (see
     /// [`ConcurrentGateway::inject_lane_panic`](super::ConcurrentGateway::inject_lane_panic)).
     inject_panic: bool,
 }
 
-/// Spawn one parked lane per shard, counted in `pipeline.lane_spawns`.
-pub(super) fn spawn_lanes(
-    count: usize,
+/// A lane's side of the pipeline, owned by its thread for life and
+/// reused by every phase: the read end of its ingress ring, the write
+/// end of its verdict ring, the gate and the batch scratch.
+struct LaneParts {
+    lane: usize,
     batch: usize,
-    reg: &exbox_obs::MetricsRegistry,
-) -> Vec<PipeLane> {
-    let spawns = reg.counter("pipeline.lane_spawns");
-    (0..count)
-        .map(|lane| {
-            spawns.inc();
-            let batches = reg.counter("pipeline.worker_batches");
-            // Batch scratch lives as long as the lane, not the phase.
-            let mut buf: Vec<IngressSlot> = Vec::with_capacity(batch);
-            let mut verdicts: Vec<(u64, Action)> = Vec::with_capacity(batch);
-            Lane::spawn(
-                format!("exbox-pipe-{lane}"),
-                reg.counter("pipeline.worker_failures"),
-                reg.counter("pipeline.lane_exits"),
-                move |phase: Phase| {
-                    run_phase(phase, lane, batch, &mut buf, &mut verdicts, &batches)
-                },
-            )
-        })
-        .collect()
-}
-
-pub(super) struct PipelineSpec<'a> {
-    pub shards: Vec<GatewayShard>,
-    /// Parked lanes, one per shard, in shard order.
-    pub lanes: Vec<PipeLane>,
-    pub batch: usize,
-    pub registry: &'a exbox_obs::MetricsRegistry,
-    /// Lane armed by the fault hook for this phase.
-    pub inject_panic: Option<usize>,
+    rx: spsc::Consumer<IngressSlot>,
+    vtx: spsc::Producer<(u64, Action)>,
+    gate: Arc<OrderGate>,
+    buf: Vec<IngressSlot>,
+    verdicts: Vec<(u64, Action)>,
+    worker_batches: Arc<Counter>,
 }
 
 /// Caller-side handle of a running pipeline. Obtained from
@@ -292,15 +300,15 @@ pub(super) struct PipelineSpec<'a> {
 /// retired by
 /// [`ConcurrentGateway::finish_pipeline`](super::ConcurrentGateway::finish_pipeline),
 /// which drains in-flight packets, takes the shards back from the
-/// lanes and parks the lanes on the gateway for the next phase.
-/// Dropping the handle instead stops and joins its lanes and discards
-/// shard state.
+/// lanes and keeps the handle — lanes, rings, gate and merge buffers —
+/// on the gateway for the next phase. Dropping the handle instead
+/// stops and joins its lanes and discards shard state.
 pub struct PipelineHandle {
     batch: u64,
     depth: u64,
     producers: Vec<spsc::Producer<IngressSlot>>,
     verdict_rx: Vec<spsc::Consumer<(u64, Action)>>,
-    /// The gateway's lanes, on loan for this phase (shard order).
+    /// One lane per shard, in shard order.
     lanes: Vec<PipeLane>,
     gate: Arc<OrderGate>,
     /// Next sequence number to assign.
@@ -327,31 +335,45 @@ impl std::fmt::Debug for PipelineHandle {
 }
 
 impl PipelineHandle {
-    pub(super) fn start(spec: PipelineSpec<'_>) -> Self {
-        let lane_count = spec.shards.len();
-        assert!(lane_count > 0, "pipeline needs at least one shard");
-        assert_eq!(spec.lanes.len(), lane_count, "one lane per shard");
-        let batch = spec.batch.max(1);
+    /// Build every part of a `lanes`-lane pipeline and spawn its lanes
+    /// (`pipeline.lane_spawns`), parked until [`start`](Self::start).
+    /// Metric handles are bound here, once.
+    pub(super) fn new(lanes: usize, batch: usize, reg: &exbox_obs::MetricsRegistry) -> Self {
+        assert!(lanes > 0, "pipeline needs at least one shard");
+        let batch = batch.max(1);
         let ring_cap = (batch * 4).next_power_of_two();
-        let depth = (lane_count * ring_cap).next_power_of_two();
-        let reg = spec.registry;
-        let gate = Arc::new(OrderGate::new(
-            lane_count,
-            reg.counter("pipeline.gate_waits"),
-        ));
+        let depth = (lanes * ring_cap).next_power_of_two();
+        let gate = Arc::new(OrderGate::new(lanes, reg.counter("pipeline.gate_waits")));
+        let spawns = reg.counter("pipeline.lane_spawns");
+        let worker_batches = reg.counter("pipeline.worker_batches");
+        let counters = LaneCounters {
+            failures: reg.counter("pipeline.worker_failures"),
+            exits: reg.counter("pipeline.lane_exits"),
+            collect_blocks: reg.counter("pipeline.collect_blocks"),
+        };
 
-        let mut producers = Vec::with_capacity(lane_count);
-        let mut verdict_rx = Vec::with_capacity(lane_count);
-        for (i, (shard, lane)) in spec.shards.into_iter().zip(&spec.lanes).enumerate() {
+        let mut producers = Vec::with_capacity(lanes);
+        let mut verdict_rx = Vec::with_capacity(lanes);
+        let mut lane_threads = Vec::with_capacity(lanes);
+        for lane in 0..lanes {
             let (tx, rx) = spsc::ring::<IngressSlot>(ring_cap);
             let (vtx, vrx) = spsc::ring::<(u64, Action)>(depth);
-            lane.hand(Phase {
-                shard,
+            let mut parts = LaneParts {
+                lane,
+                batch,
                 rx,
                 vtx,
                 gate: Arc::clone(&gate),
-                inject_panic: spec.inject_panic == Some(i),
-            });
+                buf: Vec::with_capacity(batch),
+                verdicts: Vec::with_capacity(batch),
+                worker_batches: Arc::clone(&worker_batches),
+            };
+            spawns.inc();
+            lane_threads.push(Lane::spawn(
+                format!("exbox-pipe-{lane}"),
+                counters.clone(),
+                move |phase: Phase| run_phase(phase, &mut parts),
+            ));
             producers.push(tx);
             verdict_rx.push(vrx);
         }
@@ -361,7 +383,7 @@ impl PipelineHandle {
             depth: depth as u64,
             producers,
             verdict_rx,
-            lanes: spec.lanes,
+            lanes: lane_threads,
             gate,
             next_seq: 0,
             published_seq: 0,
@@ -376,6 +398,30 @@ impl PipelineHandle {
                 ring_publishes: reg.counter("gateway.ring_publishes"),
                 merge_out_grows: reg.counter("pipeline.merge_out_grows"),
             },
+        }
+    }
+
+    /// Re-arm a parked pipeline and hand every lane its shard, draining
+    /// `shards` (shard order). The previous phase ended in
+    /// [`finish`](Self::finish): every lane is parked, every ring is
+    /// empty and closed, every verdict merged. Re-arming resets the
+    /// gate and the reorder ring to sequence 0 and reopens each
+    /// ingress ring; the lane's lock handoff in `hand` orders all of it
+    /// before the lane reads any of it. Allocates nothing.
+    pub(super) fn start(&mut self, shards: &mut Vec<GatewayShard>, inject_panic: Option<usize>) {
+        assert_eq!(shards.len(), self.lanes.len(), "one lane per shard");
+        debug_assert!(self.ready.is_empty(), "verdicts left over from a phase");
+        self.gate.rearm();
+        self.reorder.rearm();
+        self.next_seq = 0;
+        self.published_seq = 0;
+        let lanes = self.lanes.iter().zip(&mut self.producers);
+        for (i, (shard, (lane, tx))) in shards.drain(..).zip(lanes).enumerate() {
+            tx.reopen();
+            lane.hand(Phase {
+                shard,
+                inject_panic: inject_panic == Some(i),
+            });
         }
     }
 
@@ -555,54 +601,59 @@ impl PipelineHandle {
         n
     }
 
-    /// Drain, close the rings and take the shards back (shard order);
-    /// returns them, the parked lanes and the tail of the verdict
-    /// stream. Panics, naming the lane, if a lane's phase panicked.
-    pub(super) fn finish(mut self) -> (Vec<GatewayShard>, Vec<PipeLane>, Vec<Action>) {
+    /// Drain, close the rings and take the shards back into `shards`
+    /// (shard order); returns the tail of the verdict stream. The
+    /// handle keeps its lanes, parked, and every other part for the
+    /// next [`start`](Self::start). Panics, naming the lane, if a
+    /// lane's phase panicked; the shards already taken back are then
+    /// dropped, so the gateway has none left.
+    pub(super) fn finish(&mut self, shards: &mut Vec<GatewayShard>) -> Vec<Action> {
         let mut tail = Vec::new();
         self.flush(&mut tail);
-        for p in self.producers.drain(..) {
+        for p in &mut self.producers {
             p.close();
         }
-        let mut shards = Vec::with_capacity(self.lanes.len());
         for (i, lane) in self.lanes.iter().enumerate() {
             match lane.collect() {
                 Ok(shard) => shards.push(shard),
-                Err(msg) => panic!("pipeline lane {i} panicked: {msg}"),
+                Err(msg) => {
+                    shards.clear();
+                    panic!("pipeline lane {i} panicked: {msg}");
+                }
             }
         }
-        (shards, std::mem::take(&mut self.lanes), tail)
+        tail
     }
 }
 
-/// Dropping a handle that was never finished hangs up its ingress
-/// rings, so every lane's phase ends, then stops and joins its lanes:
-/// no thread outlives the pipeline, and shard state is discarded (use
+/// Dropping a handle hangs up its ingress rings, so every lane's phase
+/// ends, then stops and joins its lanes: no thread outlives the
+/// pipeline. Shard state still on loan to the lanes (a handle never
+/// finished) is discarded; use
 /// [`ConcurrentGateway::finish_pipeline`](super::ConcurrentGateway::finish_pipeline)
-/// to keep it).
+/// to keep it.
 impl Drop for PipelineHandle {
     fn drop(&mut self) {
-        // After `finish` both vectors are already empty.
-        for p in self.producers.drain(..) {
+        for p in &mut self.producers {
             p.close();
         }
         self.lanes.clear();
     }
 }
 
-/// Retires the lane's gate cursor, then hangs up its verdict ring, on
+/// Retires the lane's gate cursor, then publishes its verdict ring, on
 /// every exit from a phase — unwinding included, so a panicking lane
 /// never leaves another lane or the dispatcher waiting on it.
-struct PhaseExit {
-    gate: Arc<OrderGate>,
+struct PhaseExit<'a> {
+    gate: &'a OrderGate,
     lane: usize,
-    vtx: spsc::Producer<(u64, Action)>,
+    vtx: &'a mut spsc::Producer<(u64, Action)>,
 }
 
-impl Drop for PhaseExit {
+impl Drop for PhaseExit<'_> {
     fn drop(&mut self) {
         self.gate.retire(self.lane);
-        // `vtx` drops next: the producer publishes and closes.
+        self.vtx.publish();
     }
 }
 
@@ -610,26 +661,27 @@ impl Drop for PhaseExit {
 /// through the shard's gated batch path, publish verdicts per batch,
 /// keep the lane's gate cursor honest while idle, and hand the shard
 /// back once the ring closed and drained.
-fn run_phase(
-    phase: Phase,
-    lane: usize,
-    batch: usize,
-    buf: &mut Vec<IngressSlot>,
-    verdicts: &mut Vec<(u64, Action)>,
-    worker_batches: &Counter,
-) -> GatewayShard {
+fn run_phase(phase: Phase, parts: &mut LaneParts) -> GatewayShard {
     let Phase {
         mut shard,
-        mut rx,
-        vtx,
-        gate,
         inject_panic,
     } = phase;
-    let mut exit = PhaseExit { gate, lane, vtx };
+    let LaneParts {
+        lane,
+        batch,
+        rx,
+        vtx,
+        gate,
+        buf,
+        verdicts,
+        worker_batches,
+    } = parts;
+    let (lane, batch) = (*lane, *batch);
+    let gate = &**gate;
+    let exit = PhaseExit { gate, lane, vtx };
     if inject_panic {
         panic!("injected fault at phase start");
     }
-    let gate = &*exit.gate;
     loop {
         // Watermark *before* the emptiness check: invariant 2 — an
         // empty ring after this read proves every owned seq < w done.

@@ -18,6 +18,10 @@
 //!   [`Producer::publish`]. The dispatcher pushes a whole batch of
 //!   packets and publishes once — one store + one (implied) fence per
 //!   batch instead of per packet.
+//! * **Re-armable.** A closed ring is reopened with
+//!   [`Producer::reopen`] once its consumer is quiescent, so the
+//!   pipeline builds each lane's rings once and reuses them for every
+//!   packet phase.
 //!
 //! Indexes are monotonically increasing `u64`s (never wrapped); the
 //! slot for index `i` is `i & mask`. Capacity is rounded up to a power
@@ -200,9 +204,23 @@ impl<T> Producer<T> {
 
     /// Publish pending writes and mark the ring closed; the consumer
     /// drains what remains and then reads the hang-up.
-    pub fn close(mut self) {
+    pub fn close(&mut self) {
         self.publish();
         self.shared.closed.store(true, Ordering::SeqCst);
+    }
+
+    /// Re-arm a closed ring for another round of pushes. The cursors
+    /// carry on from where they stopped, so slot reuse is the ordinary
+    /// wraparound of invariant 2.
+    ///
+    /// Call only while the consumer is quiescent: it saw the close,
+    /// drained the ring and stopped reading, and it starts reading
+    /// again only after something orders it after this call (the
+    /// pipeline's lane handoff, a lock). A consumer still polling could
+    /// otherwise read the hang-up of the last round as the end of the
+    /// next one and strand its values.
+    pub fn reopen(&mut self) {
+        self.shared.closed.store(false, Ordering::SeqCst);
     }
 }
 
@@ -340,6 +358,25 @@ mod tests {
         assert!(rx.is_closed());
         assert_eq!(rx.pop(), Some(7));
         assert_eq!(rx.pop(), None);
+    }
+
+    #[test]
+    fn reopened_ring_carries_a_second_round() {
+        let (mut tx, mut rx) = ring::<u32>(4);
+        for round in 0..3u32 {
+            // 3 values per round on 4 slots: every round wraps.
+            for v in 0..3 {
+                tx.push(round * 10 + v).unwrap();
+            }
+            tx.close();
+            let mut got = Vec::new();
+            assert_eq!(rx.drain_into(&mut got, 8), 3);
+            assert!(rx.is_closed());
+            assert_eq!(rx.drain_into(&mut got, 8), 0);
+            assert_eq!(got, vec![round * 10, round * 10 + 1, round * 10 + 2]);
+            tx.reopen();
+            assert!(!rx.is_closed(), "reopen must clear the hang-up");
+        }
     }
 
     #[test]

@@ -26,31 +26,19 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut g = self.counters.lock().expect("registry poisoned");
-        Arc::clone(
-            g.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        get_or_insert(&self.counters, name, Counter::new)
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut g = self.gauges.lock().expect("registry poisoned");
-        Arc::clone(
-            g.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
+        get_or_insert(&self.gauges, name, Gauge::new)
     }
 
     /// Get or create the histogram `name`. The bucket `bounds` apply
     /// only on first creation; later callers share the existing
     /// instrument unchanged.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut g = self.histograms.lock().expect("registry poisoned");
-        Arc::clone(
-            g.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
+        get_or_insert(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// Point-in-time snapshot of every registered metric.
@@ -79,6 +67,23 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+}
+
+/// Look `name` up by `&str`; allocate its key and instrument only
+/// when it is new.
+fn get_or_insert<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut g = map.lock().expect("registry poisoned");
+    if let Some(found) = g.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(
+        g.entry(name.to_string())
+            .or_insert_with(|| Arc::new(make())),
+    )
 }
 
 /// The process-wide default registry. Components bind to it unless
@@ -335,6 +340,16 @@ mod tests {
         reg.counter("a.b").inc();
         reg.counter("a.b").inc();
         assert_eq!(reg.snapshot().counter("a.b"), Some(2));
+    }
+
+    #[test]
+    fn repeated_lookup_returns_the_same_arc() {
+        let reg = MetricsRegistry::new();
+        assert!(Arc::ptr_eq(&reg.counter("c"), &reg.counter("c")));
+        assert!(Arc::ptr_eq(&reg.gauge("g"), &reg.gauge("g")));
+        let h = reg.histogram("h", &[1.0]);
+        assert!(Arc::ptr_eq(&h, &reg.histogram("h", &[2.0])));
+        assert!(!Arc::ptr_eq(&reg.counter("c"), &reg.counter("d")));
     }
 
     #[test]

@@ -26,7 +26,7 @@ export RUSTFLAGS="${RUSTFLAGS:-} --cfg exbox_loom"
 echo "== exbox-loom self-tests (explorer properties, shim differential)"
 cargo test -q -p exbox-loom
 
-echo "== gateway models (snapshot QSBR, channel, trainer drain, shard merge, SPSC ring, lane handoff)"
+echo "== gateway models (snapshot QSBR, channel, trainer drain, shard merge, SPSC ring, lane handoff, ring re-arm, collect spin-then-block)"
 cargo test -q -p exbox-core --lib
 
 echo "== gateway models under --features simd (satellite: both kernel modes)"
